@@ -45,8 +45,8 @@ type (
 	BudgetMeter = budget.Meter
 	// BudgetRegistry tracks per-tenant SSSP admission meters.
 	BudgetRegistry = budget.Registry
-	// BudgetTenant is one tenant's admission meter; QueryMeter derives the
-	// per-query 2m allowance chained to it.
+	// BudgetTenant is one tenant's admission meter; BudgetRegistry.QueryMeter
+	// derives the per-query 2m allowance chained to it.
 	BudgetTenant = budget.Tenant
 
 	// Batcher coalesces concurrent single-source distance requests into

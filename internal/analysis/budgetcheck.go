@@ -67,18 +67,13 @@ func budgetEntryPoint(name string) bool {
 
 // distEntryPoint reports whether a dist-package function or method named
 // name costs budget: one unit per DistancesInto call (Source, Session, or
-// Batcher), one per source for the batched sweeps and DistanceMatrix. The
-// Ctx variants are the serving-path spellings of the same spending —
-// cancellation changes machine work, never cost.
+// Batcher), one per source for the batched sweeps and DistanceMatrix, and
+// one per row a PairedWorker produces (Rows, Derive). Context and Δ bound
+// arguments change machine work, never cost.
 func distEntryPoint(name string) bool {
 	switch name {
-	case "DistancesInto", "DistanceMatrix", "Sweep", "PairedSweep",
-		"DistancesPairInto", "DeriveInto", "IncrementalPairedSweep",
-		"DistancesIntoCtx", "SweepCtx", "PairedSweepCtx",
-		"IncrementalPairedSweepCtx",
-		// The pruned-capability spellings cost exactly what the full
-		// variants do — the Δ-threshold cuts traversal, not charges.
-		"DistancesPairBoundedInto", "DeriveBoundedInto":
+	case "DistancesInto", "DistancesIntoCtx", "DistanceMatrix",
+		"Sweep", "PairedSweep", "Rows", "Derive":
 		return true
 	}
 	return false

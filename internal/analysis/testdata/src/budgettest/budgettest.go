@@ -73,7 +73,7 @@ func unmeteredSource(s dist.Source, row []int32) {
 }
 
 func unmeteredSweep(s dist.Source) {
-	dist.Sweep(s, []int{0}, 1, func(src int, d []int32) {}) // want `call to dist.Sweep without`
+	_ = dist.Sweep(context.Background(), s, []int{0}, 1, func(src int, d []int32) {}) // want `call to dist.Sweep without`
 }
 
 func meteredSession(s dist.Source, m *budget.Meter, row []int32) error {
@@ -88,8 +88,7 @@ func meteredPaired(p dist.Pair, m *budget.Meter) error {
 	if err := m.Charge(budget.PhaseCandidateGen, 2); err != nil {
 		return err
 	}
-	dist.PairedSweep(p, []int{0}, 1, func(src int, d1, d2 []int32) {})
-	return nil
+	return dist.PairedSweep(context.Background(), p, []int{0}, 1, func(src int, d1, d2 []int32) {})
 }
 
 // freeStructural reads only degrees and adjacency, which cost nothing.
@@ -133,35 +132,35 @@ func freeRepairReads(d *dynsssp.DynamicBFS) int {
 // The paired-session entry points: a derived t2 row costs one unit exactly
 // like a traversed one.
 
-func unmeteredPairedSession(ps dist.PairedSession, d1, d2 []int32) {
-	ps.DistancesPairInto(0, d1, d2) // want `call to dist.DistancesPairInto without`
-	ps.DeriveInto(0, d1, d2)        // want `call to dist.DeriveInto without`
+func unmeteredPairedWorker(ps *dist.PairedWorker, d1, d2 []int32) {
+	ps.Rows(0, d1, d2, nil)   // want `call to dist.Rows without`
+	ps.Derive(0, d1, d2, nil) // want `call to dist.Derive without`
 }
 
-func unmeteredIncrementalSweep(p dist.Pair) {
-	dist.IncrementalPairedSweep(p, []int{0}, 1, func(src int, d1, d2 []int32) {}) // want `call to dist.IncrementalPairedSweep without`
+func unmeteredIncrementalRows(p dist.Pair, d1, d2 []int32) {
+	dist.NewPaired(p, dist.PairedIncremental).NewWorker().Rows(0, d1, d2, nil) // want `call to dist.Rows without`
 }
 
-func meteredPairedSession(p dist.Pair, m *budget.Meter, d1, d2 []int32) error {
+func meteredPairedWorker(p dist.Pair, m *budget.Meter, d1, d2 []int32) error {
 	if err := m.Charge(budget.PhaseTopK, 2); err != nil {
 		return err
 	}
-	ps := dist.NewPairedEngine(p, dist.PairedIncremental).NewSession()
-	ps.DistancesPairInto(0, d1, d2)
+	ps := dist.NewPaired(p, dist.PairedIncremental).NewWorker()
+	ps.Rows(0, d1, d2, nil)
 	return nil
 }
 
-// The serving path's ctx-variant drivers and the batching layer cost budget
-// exactly like the spellings they generalize: cancellation and coalescing
-// change machine work, never cost.
+// The serving path's cancellable sweeps, incremental derives and the
+// batching layer cost budget exactly like any other row: cancellation,
+// repair and coalescing change machine work, never cost.
 
 func unmeteredCtxSweep(ctx context.Context, s dist.Source) {
-	_ = dist.SweepCtx(ctx, s, []int{0}, 1, func(src int, d []int32) {}) // want `call to dist.SweepCtx without`
+	_ = dist.Sweep(ctx, s, []int{0}, 1, func(src int, d []int32) {}) // want `call to dist.Sweep without`
 }
 
-func unmeteredCtxPaired(ctx context.Context, p dist.Pair) {
-	_ = dist.PairedSweepCtx(ctx, p, []int{0}, 1, func(src int, d1, d2 []int32) {})            // want `call to dist.PairedSweepCtx without`
-	_, _ = dist.IncrementalPairedSweepCtx(ctx, p, []int{0}, 1, func(src int, d1, d2 []int32) {}) // want `call to dist.IncrementalPairedSweepCtx without`
+func unmeteredCtxPaired(ctx context.Context, p dist.Pair, d1, d2 []int32) {
+	_ = dist.PairedSweep(ctx, p, []int{0}, 1, func(src int, d1, d2 []int32) {})  // want `call to dist.PairedSweep without`
+	dist.NewPaired(p, dist.PairedIncremental).NewWorker().Derive(0, d1, d2, nil) // want `call to dist.Derive without`
 }
 
 func unmeteredBatcherRow(ctx context.Context, b *dist.Batcher, row []int32) {
@@ -176,7 +175,7 @@ func meteredBatcherSweep(ctx context.Context, src dist.Source, m *budget.Meter) 
 		return err
 	}
 	b := dist.NewBatcher(src, dist.BatcherOptions{Immediate: true})
-	return b.SweepCtx(ctx, []int{0}, 1, func(s int, d []int32) {})
+	return b.Sweep(ctx, []int{0}, 1, func(s int, d []int32) {})
 }
 
 // The Δ-threshold pruned spellings cost exactly what the full variants do:
@@ -187,9 +186,9 @@ func unmeteredPrunedBFS(g2 *graph.Graph, d1, d2 []int32, ps *sssp.PrunedScratch)
 	sssp.PrunedSecondBFS(g2, 0, d1, d2, func() int32 { return 1 }, ps) // want `call to sssp.PrunedSecondBFS without`
 }
 
-func unmeteredPrunedPair(pps dist.PrunedPairSession, d1, d2 []int32) {
-	pps.DistancesPairBoundedInto(0, d1, d2, func() int32 { return 1 }) // want `call to dist.DistancesPairBoundedInto without`
-	pps.DeriveBoundedInto(0, d1, d2, func() int32 { return 1 })        // want `call to dist.DeriveBoundedInto without`
+func unmeteredPrunedPair(ps *dist.PairedWorker, d1, d2 []int32) {
+	ps.Rows(0, d1, d2, func() int32 { return 1 })   // want `call to dist.Rows without`
+	ps.Derive(0, d1, d2, func() int32 { return 1 }) // want `call to dist.Derive without`
 }
 
 func unmeteredBoundedRepair(s *dynsssp.Scratch, g2 *graph.Graph, delta []graph.Edge, d2, d1 []int32) {
@@ -197,16 +196,15 @@ func unmeteredBoundedRepair(s *dynsssp.Scratch, g2 *graph.Graph, delta []graph.E
 }
 
 // meteredThresholdLoop is the pruned-extraction idiom: charge every row up
-// front, compute bounded rows through the pruned capability with the shared
-// threshold as the bound, and offer each emitted delta back to the
-// threshold. Threshold reads and offers cost nothing — only the row
+// front, compute bounded rows with the shared threshold as the bound, and
+// offer each emitted delta back to the threshold. Threshold reads and offers cost nothing — only the row
 // computations are budget-relevant.
 func meteredThresholdLoop(p dist.Pair, m *budget.Meter, th *prune.Threshold, d1, d2 []int32) error {
 	if err := m.Charge(budget.PhaseTopK, 2); err != nil {
 		return err
 	}
-	pps := dist.AsPruned(dist.NewPairedEngine(p, dist.PairedFull).NewSession())
-	pps.DistancesPairBoundedInto(0, d1, d2, th.Load)
+	ps := dist.NewPaired(p, dist.PairedFull).NewWorker()
+	ps.Rows(0, d1, d2, th.Load)
 	for v := range d1 {
 		if d1[v] > 0 && d1[v]-d2[v] > 0 {
 			th.Offer(d1[v] - d2[v])
@@ -224,7 +222,7 @@ func unmeteredSessionQuery(ctx context.Context, sess *core.Session) {
 }
 
 func tenantMeteredQuery(ctx context.Context, sess *core.Session, reg *budget.Registry) error {
-	meter := reg.Tenant("alice", 0).QueryMeter(5)
+	meter := reg.QueryMeter("alice", 0, 5)
 	_, err := sess.TopK(ctx, core.Options{M: 5, Meter: meter})
 	return err
 }

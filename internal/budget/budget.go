@@ -98,6 +98,10 @@ type Meter struct {
 	// nesting is single-level (a parent never has a parent of its own), so
 	// the child→parent lock order cannot cycle.
 	parent *Meter
+	// tenant, when set, resolves parent on the first non-empty charge, so a
+	// query refused before it spends never creates its tenant (see
+	// Registry.QueryMeter).
+	tenant func() *Meter
 	// hist, when set, replaces the global charge-size histograms for this
 	// meter's successful charges (tenant meters use tenant-labeled series so
 	// the global series counts every SSSP exactly once, via the per-query
@@ -130,6 +134,9 @@ func (mt *Meter) Charge(p Phase, n int) error {
 	if total+n > mt.limit {
 		mt.mu.Unlock()
 		return fmt.Errorf("%w: %d spent + %d requested > limit %d", ErrExhausted, total, n, mt.limit)
+	}
+	if mt.parent == nil && mt.tenant != nil && n > 0 {
+		mt.parent = mt.tenant()
 	}
 	if mt.parent != nil {
 		// Admission at this level is fine; commit nothing unless the parent

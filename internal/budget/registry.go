@@ -28,21 +28,12 @@ type Tenant struct {
 func (t *Tenant) Name() string { return t.name }
 
 // Meter returns the tenant's admission meter. Charging it directly is
-// unusual; queries should charge a QueryMeter child so per-query reports
-// stay comparable to one-shot runs.
+// unusual; queries should charge a Registry.QueryMeter child so per-query
+// reports stay comparable to one-shot runs.
 func (t *Tenant) Meter() *Meter { return t.meter }
 
 // Report returns the tenant's cumulative spending across all its queries.
 func (t *Tenant) Report() Report { return t.meter.Report() }
-
-// QueryMeter returns a fresh per-query meter for the paper's standard budget
-// (m candidates = 2m SSSPs), chained to the tenant's admission meter: every
-// charge must clear both limits or it spends nothing anywhere. The child's
-// Report is bit-identical to a standalone NewMeter(m) run — tenancy adds
-// admission, never cost.
-func (t *Tenant) QueryMeter(m int) *Meter {
-	return &Meter{limit: 2 * m, parent: t.meter}
-}
 
 // Registry is the set of known tenants. Safe for concurrent use.
 type Registry struct {
@@ -76,6 +67,17 @@ func (r *Registry) Tenant(name string, limit int) *Tenant {
 	}
 	r.tenants[name] = t
 	return t
+}
+
+// QueryMeter returns a fresh per-query meter for the paper's standard budget
+// (m candidates = 2m SSSPs), chained to the named tenant's admission meter:
+// every charge must clear both limits or it spends nothing anywhere. The
+// child's Report is bit-identical to a standalone NewMeter(m) run — tenancy
+// adds admission, never cost. The tenant is looked up, or created with
+// limit as by Tenant, only at the first non-empty charge, so a query refused
+// before it spends leaves the registry untouched.
+func (r *Registry) QueryMeter(name string, limit, m int) *Meter {
+	return &Meter{limit: 2 * m, tenant: func() *Meter { return r.Tenant(name, limit).meter }}
 }
 
 // Get returns the named tenant without creating it.

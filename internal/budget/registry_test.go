@@ -12,7 +12,7 @@ import (
 func TestQueryMeterMatchesStandalone(t *testing.T) {
 	r := NewRegistry()
 	tn := r.Tenant("acme", 100)
-	qm := tn.QueryMeter(8)
+	qm := r.QueryMeter("acme", 100, 8)
 	sm := NewMeter(8)
 	for _, c := range []struct {
 		p Phase
@@ -39,7 +39,7 @@ func TestQueryMeterMatchesStandalone(t *testing.T) {
 func TestTenantAdmissionRejectsAtomically(t *testing.T) {
 	r := NewRegistry()
 	tn := r.Tenant("small", 10)
-	qm := tn.QueryMeter(100) // query limit far above the tenant allowance
+	qm := r.QueryMeter("small", 10, 100) // query limit far above the tenant allowance
 
 	if err := qm.Charge(PhaseCandidateGen, 8); err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestTenantAdmissionRejectsAtomically(t *testing.T) {
 
 	// The reverse direction: a child-limit rejection never consults the
 	// tenant.
-	qm2 := tn.QueryMeter(1) // limit 2
+	qm2 := r.QueryMeter("small", 10, 1) // limit 2
 	if err := qm2.Charge(PhaseTopK, 3); !errors.Is(err, ErrExhausted) {
 		t.Fatalf("got %v, want ErrExhausted", err)
 	}
@@ -82,7 +82,7 @@ func TestTenantsChargeIndependently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			qm := tn.QueryMeter(4)
+			qm := r.QueryMeter(tn.Name(), 0, 4)
 			if err := qm.Charge(PhaseCandidateGen, 4); err != nil {
 				t.Error(err)
 			}
@@ -127,5 +127,39 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 	if tn.Name() != "x" {
 		t.Fatalf("tenant name = %q", tn.Name())
+	}
+}
+
+// TestRegistryQueryMeterCreatesOnFirstCharge pins the lazy form: a query
+// refused before it spends leaves the registry untouched, and the first
+// non-empty charge creates the tenant and is admitted against it.
+func TestRegistryQueryMeterCreatesOnFirstCharge(t *testing.T) {
+	r := NewRegistry()
+	qm := r.QueryMeter("lazy", 10, 3)
+	if err := qm.Charge(PhaseTopK, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := qm.Charge(PhaseTopK, 7); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("over-query-budget charge: got %v, want ErrExhausted", err)
+	}
+	if reports := r.Reports(); len(reports) != 0 {
+		t.Fatalf("no successful spend yet, but tenants = %v", reports)
+	}
+	if err := qm.Charge(PhaseCandidateGen, 2); err != nil {
+		t.Fatal(err)
+	}
+	tenant, ok := r.Get("lazy")
+	if !ok {
+		t.Fatal("first charge did not create the tenant")
+	}
+	if rep := tenant.Report(); rep.Total() != 2 || rep.Limit != 10 {
+		t.Fatalf("tenant report = %+v, want 2 spent of 10", rep)
+	}
+	// A second query of the same tenant is admitted against its allowance.
+	if err := r.QueryMeter("lazy", 99, 5).Charge(PhaseTopK, 9); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("charge past the tenant allowance: got %v, want ErrExhausted", err)
+	}
+	if got := tenant.Report().Total(); got != 2 {
+		t.Fatalf("rejected charge changed tenant spend to %d", got)
 	}
 }

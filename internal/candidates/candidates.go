@@ -56,7 +56,7 @@ type Context struct {
 	Workers int
 	// Ctx, when non-nil, carries the query's cancellation signal. Selectors
 	// whose selection sweeps many sources should pass it to the ctx-aware
-	// dist drivers (dist.SweepCtx) so an abandoned query stops traversing;
+	// dist drivers (dist.Sweep) so an abandoned query stops traversing;
 	// core checks it between phases regardless, so honoring it here only
 	// sharpens promptness, never correctness.
 	Ctx context.Context

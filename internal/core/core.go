@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sort"
 
 	"repro/internal/budget"
 	"repro/internal/candidates"
@@ -193,6 +192,3 @@ func Exact(pair graph.SnapshotPair, k int, workers int) ([]topk.Pair, error) {
 	}
 	return gt.Pairs[:k], nil
 }
-
-// SortCandidates orders a candidate slice ascending; a display helper.
-func SortCandidates(cands []int) { sort.Ints(cands) }

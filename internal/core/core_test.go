@@ -295,14 +295,6 @@ func TestExactClampsAndSorts(t *testing.T) {
 	}
 }
 
-func TestSortCandidates(t *testing.T) {
-	c := []int{9, 1, 5}
-	SortCandidates(c)
-	if c[0] != 1 || c[2] != 9 {
-		t.Fatalf("sorted = %v", c)
-	}
-}
-
 func TestExplain(t *testing.T) {
 	// Path 0..5 in G1; G2 adds the chord {0,5}.
 	g1 := graph.FromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}})
@@ -429,5 +421,29 @@ func TestSelectorDefenses(t *testing.T) {
 	}
 	if _, err := TopK(sp, Options{Selector: badSelector{cands: many}, M: 5, K: 3}); err == nil {
 		t.Fatal("over-budget candidates should fail")
+	}
+}
+
+// TestResultPairsDetached pins that a cut top-K result does not keep every
+// raw pair alive: Pairs must hold exactly the kept pairs, not be a prefix of
+// the raw-pair array.
+func TestResultPairsDetached(t *testing.T) {
+	sp := growingPair(t, 120, 3)
+	opts := Options{Selector: candidates.Degree(), M: 15, MinDelta: 1, Seed: 1}
+	raw, err := TopK(sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.MinDelta, opts.K = 0, 3
+	res, err := TopK(sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw.Pairs) <= opts.K || len(res.Pairs) != opts.K {
+		t.Fatalf("want more than %d raw pairs cut to %d, got %d raw, %d kept",
+			opts.K, opts.K, len(raw.Pairs), len(res.Pairs))
+	}
+	if cap(res.Pairs) != len(res.Pairs) {
+		t.Fatalf("cap(Pairs) = %d, want %d: the result pins the raw pairs", cap(res.Pairs), len(res.Pairs))
 	}
 }

@@ -49,24 +49,20 @@ type SessionConfig struct {
 	Parallelism int
 }
 
-// enginePool is one paired engine plus the pool of per-worker extraction
-// state bound to it. The engine is built once (incremental mode computes the
-// snapshot edge delta there); workers of any query on this session check
-// state out and back in.
+// enginePool is one paired row producer plus the pool of per-worker
+// extraction state bound to it. The producer is built once (incremental mode
+// computes the snapshot edge delta there); workers of any query on this
+// session check state out and back in.
 type enginePool struct {
-	eng  dist.PairedEngine
+	eng  *dist.Paired
 	pool sync.Pool // *workerState
 }
 
 // workerState is one extraction worker's scratch: the distance-row buffers
-// and the engine-bound paired session (which owns traversal scratch).
+// and the paired worker (which owns traversal scratch).
 type workerState struct {
 	d1buf, d2buf []int32
-	ps           dist.PairedSession
-	// pps is ps seen through the Δ-threshold capability (ps itself when it
-	// implements it, a full-computation fallback otherwise); pruned
-	// extraction routes row computation through it.
-	pps dist.PrunedPairSession
+	ps           *dist.PairedWorker
 	// sess1 serves the rare only-d2-cached case; created lazily because most
 	// queries never hit it.
 	sess1 dist.Session
@@ -115,7 +111,7 @@ func (s *Session) pairedEngine(mode dist.PairedMode) *enginePool {
 	if ep, ok := s.pengs[mode]; ok {
 		return ep
 	}
-	ep := &enginePool{eng: dist.NewPairedEngine(s.src, mode)}
+	ep := &enginePool{eng: dist.NewPaired(s.src, mode)}
 	s.pengs[mode] = ep
 	return ep
 }
@@ -126,13 +122,11 @@ func (ep *enginePool) checkout(n int) *workerState {
 	if st, _ := ep.pool.Get().(*workerState); st != nil {
 		return st
 	}
-	st := &workerState{
+	return &workerState{
 		d1buf: make([]int32, n),
 		d2buf: make([]int32, n),
-		ps:    ep.eng.NewSession(),
+		ps:    ep.eng.NewWorker(),
 	}
-	st.pps = dist.AsPruned(st.ps)
-	return st
 }
 
 // TopK runs one query of Algorithm 1 on the session. It is the former
@@ -366,7 +360,7 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 	// must return every qualifying pair, so PruneAuto never prunes it).
 	pruneOn := opts.K > 0 && opts.Prune != PruneOff
 	var th *prune.Threshold
-	var boundFn func() int32
+	var bound func() int32 // nil: unbounded rows
 	var ubounds []int32
 	//convlint:shared lock-free skip tally; workers only Add, read after Wait
 	var skipped atomic.Int64
@@ -382,7 +376,7 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 				th.Seed(d)
 			}
 		}
-		boundFn = th.Load
+		bound = th.Load
 		ubounds = landmarkBounds(cctx, cands)
 	}
 	// Processing order: largest upper bound first, so the candidates most
@@ -436,20 +430,12 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 					d2 := cctx.D2Rows[u]
 					switch {
 					case d1 == nil && d2 == nil:
-						if pruneOn {
-							st.pps.DistancesPairBoundedInto(u, st.d1buf, st.d2buf, boundFn)
-						} else {
-							st.ps.DistancesPairInto(u, st.d1buf, st.d2buf)
-						}
+						st.ps.Rows(u, st.d1buf, st.d2buf, bound)
 						d1, d2 = st.d1buf, st.d2buf
 					case d1 != nil && d2 == nil:
 						// The selector already paid for the t1 row; derive
 						// (or recompute, in full mode) just the t2 row.
-						if pruneOn {
-							st.pps.DeriveBoundedInto(u, d1, st.d2buf, boundFn)
-						} else {
-							st.ps.DeriveInto(u, d1, st.d2buf)
-						}
+						st.ps.Derive(u, d1, st.d2buf, bound)
 						d2 = st.d2buf
 					case d1 == nil:
 						if st.sess1 == nil {
@@ -509,7 +495,9 @@ func (s *Session) extractPairs(ctx context.Context, cctx *candidates.Context, ca
 	cutSpan := tr.StartSpan("sort-cut", obs.Int("pairs", len(all)))
 	topk.SortPairs(all)
 	if opts.K > 0 && len(all) > opts.K {
-		all = all[:opts.K]
+		// Copy the kept pairs out so a retained Result does not pin every
+		// raw pair through a shared backing array.
+		all = append([]topk.Pair(nil), all[:opts.K]...)
 	}
 	cutSpan.Set(obs.Int("kept", len(all)))
 	cutSpan.End()

@@ -195,7 +195,7 @@ func (b *Batcher) flush(bt *swBatch) {
 		total += len(bt.reqs[src])
 	}
 	multi := total > 1
-	_ = SweepCtx(context.Background(), b.src, bt.order, b.workers, func(src int, dist []int32) {
+	_ = Sweep(context.Background(), b.src, bt.order, b.workers, func(src int, dist []int32) {
 		bt.mu.Lock()
 		for _, req := range bt.reqs[src] {
 			if !req.canceled {
@@ -231,11 +231,11 @@ func (b *Batcher) wait(ctx context.Context, bt *swBatch, req *batchReq) error {
 	}
 }
 
-// SweepCtx implements the sweeper capability: all sources enqueue into the
+// Sweep implements the sweeper capability: all sources enqueue into the
 // current window at once (coalescing with any concurrent requests), then fn
 // is invoked sequentially as rows are awaited. A multi-source query through a
 // Batcher therefore batches with itself even when no other request overlaps.
-func (b *Batcher) SweepCtx(ctx context.Context, sources []int, workers int, fn func(src int, dst []int32)) error {
+func (b *Batcher) Sweep(ctx context.Context, sources []int, workers int, fn func(src int, dst []int32)) error {
 	n := b.src.NumNodes()
 	type pending struct {
 		req *batchReq
@@ -267,19 +267,4 @@ func (b *Batcher) SweepCtx(ctx context.Context, sources []int, workers int, fn f
 		fn(sources[i], p.req.dst)
 	}
 	return err
-}
-
-// newIncrementalPairedEngine delegates the incremental-paired capability to
-// the wrapped sources: the dynsssp repair path derives t2 rows from t1 rows
-// in-worker, so there is no second traversal to batch — routing it through
-// the underlying BFS pair directly keeps results identical and skips a
-// pointless coalescing wait.
-func (b *Batcher) newIncrementalPairedEngine(other Source) (PairedEngine, bool) {
-	if u, ok := other.(interface{ Unwrap() Source }); ok {
-		other = u.Unwrap()
-	}
-	if ip, ok := b.src.(incrementalPairable); ok {
-		return ip.newIncrementalPairedEngine(other)
-	}
-	return nil, false
 }

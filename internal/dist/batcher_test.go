@@ -160,7 +160,7 @@ func TestBatcherSeesThroughToGraph(t *testing.T) {
 }
 
 // TestBatcherIncrementalPairedDelegates pins that a batched pair still
-// supports incremental paired mode (delegated to the wrapped BFS sources)
+// supports incremental paired mode (run on the wrapped BFS sources)
 // and produces rows identical to the full mode.
 func TestBatcherIncrementalPairedDelegates(t *testing.T) {
 	g1, g2 := evolvedPair(t, 70, 19)
@@ -168,20 +168,20 @@ func TestBatcherIncrementalPairedDelegates(t *testing.T) {
 		S1: NewBatcher(NewBFS(g1, sssp.Auto), BatcherOptions{Immediate: true}),
 		S2: NewBatcher(NewBFS(g2, sssp.Auto), BatcherOptions{Immediate: true}),
 	}
-	eng := NewPairedEngine(p, PairedIncremental)
+	eng := NewPaired(p, PairedIncremental)
 	if eng.Mode() != PairedIncremental {
 		t.Fatalf("batched pair lost the incremental capability")
 	}
 	n := g1.NumNodes()
-	sess := eng.NewSession()
+	sess := eng.NewWorker()
 	d1 := make([]int32, n)
 	d2 := make([]int32, n)
 	w1 := make([]int32, n)
 	w2 := make([]int32, n)
-	full := NewPairedEngine(Pair{S1: NewBFS(g1, sssp.Auto), S2: NewBFS(g2, sssp.Auto)}, PairedFull).NewSession()
+	full := NewPaired(Pair{S1: NewBFS(g1, sssp.Auto), S2: NewBFS(g2, sssp.Auto)}, PairedFull).NewWorker()
 	for _, u := range []int{0, 7, 33} {
-		sess.DistancesPairInto(u, d1, d2)
-		full.DistancesPairInto(u, w1, w2)
+		sess.Rows(u, d1, d2, nil)
+		full.Rows(u, w1, w2, nil)
 		if !reflect.DeepEqual(d1, w1) || !reflect.DeepEqual(d2, w2) {
 			t.Fatalf("incremental-through-batcher rows differ at source %d", u)
 		}

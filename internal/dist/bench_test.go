@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -26,20 +27,19 @@ func benchEvolving(b *testing.B) *graph.Evolving {
 	return ev
 }
 
-// BenchmarkPairedSweep compares the full paired sweep (re-traverse G_t2 per
-// source) against the incremental one (derive the t2 row by repairing the
-// t1 row with the snapshot edge delta) at 60/70/80% split fractions.
+// BenchmarkPairedSweep compares full t2 rows (re-traverse G_t2 per source)
+// against incremental ones (derive the t2 row by repairing the t1 row with
+// the snapshot edge delta) at 60/70/80% split fractions.
 //
 // The secondleg rows isolate what the incremental engine replaces: one full
 // scalar BFS on G_t2 versus one copy+repair per source, over the same 64
 // sources. This is the acceptance comparison — the repair touches only the
 // region the delta improves, so its cost tracks the delta size, not V+E.
 //
-// The sweep rows measure the end-to-end batched drivers (PairedSweep vs
-// IncrementalPairedSweep). Note the full driver hands both legs to the
-// MS-BFS bit-parallel kernel, which amortizes ~(V+2E)/64 per source at this
-// batch size — so at large source counts the full batch sweep remains
-// competitive even when the per-source second leg is far cheaper
+// The sweep row measures the batched full driver, PairedSweep, which hands
+// both legs to the MS-BFS bit-parallel kernel and amortizes ~(V+2E)/64 per
+// source at this batch size — so at large source counts the full batch sweep
+// remains competitive even when the per-source second leg is far cheaper
 // incrementally; see README "Performance architecture".
 func BenchmarkPairedSweep(b *testing.B) {
 	ev := benchEvolving(b)
@@ -90,11 +90,11 @@ func BenchmarkPairedSweep(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("secondleg/incremental/split=%d", pct), func(b *testing.B) {
 			b.ReportAllocs()
-			ps := NewPairedEngine(p, PairedIncremental).NewSession()
+			ps := NewPaired(p, PairedIncremental).NewWorker()
 			d2 := make([]int32, n)
 			for i := 0; i < b.N; i++ {
 				for j := range sources {
-					ps.DeriveInto(sources[j], d1s[j], d2)
+					ps.Derive(sources[j], d1s[j], d2, nil)
 				}
 			}
 		})
@@ -102,13 +102,7 @@ func BenchmarkPairedSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("sweep/full/split=%d", pct), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				PairedSweep(p, sources, 1, func(int, []int32, []int32) {})
-			}
-		})
-		b.Run(fmt.Sprintf("sweep/incremental/split=%d", pct), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				IncrementalPairedSweep(p, sources, 1, func(int, []int32, []int32) {})
+				_ = PairedSweep(context.Background(), p, sources, 1, func(int, []int32, []int32) {})
 			}
 		})
 	}

@@ -2,9 +2,7 @@ package dist
 
 import (
 	"context"
-	"sync"
 
-	"repro/internal/dynsssp"
 	"repro/internal/graph"
 	"repro/internal/sssp"
 )
@@ -57,17 +55,6 @@ func (s *BFS) Degree(u int) int { return s.g.Degree(u) }
 // NeighborIDs returns u's adjacency; aliases internal storage.
 func (s *BFS) NeighborIDs(u int) []int32 { return s.g.Neighbors(u) }
 
-// Graph returns the underlying unweighted graph, for structural consumers
-// (betweenness, embeddings, DOT export) that need more than distances.
-func (s *BFS) Graph() *graph.Graph { return s.g }
-
-// Engine returns the configured BFS kernel.
-func (s *BFS) Engine() sssp.Engine { return s.engine }
-
-// Parallelism returns the configured intra-traversal parallelism (0 means
-// the process default).
-func (s *BFS) Parallelism() int { return s.par }
-
 // DistancesInto runs one BFS from src, borrowing pooled scratch.
 func (s *BFS) DistancesInto(src int, dst []int32) {
 	sssp.ParallelBFSWith(s.g, src, dst, s.engine, s.par, nil)
@@ -78,22 +65,11 @@ func (s *BFS) NewSession() Session {
 	return &bfsSession{src: s, scratch: sssp.NewScratch(s.g.NumNodes())}
 }
 
-// SweepCtx drives the batched multi-source kernels (bit-parallel BFS when
-// the engine resolution picks it), amortizing traversals across sources;
-// once ctx is done no further source or batch starts.
-func (s *BFS) SweepCtx(ctx context.Context, sources []int, workers int, fn func(src int, dst []int32)) error {
+// Sweep drives the batched multi-source kernels (bit-parallel BFS when the
+// engine resolution picks it), amortizing traversals across sources; once
+// ctx is done no further source or batch starts.
+func (s *BFS) Sweep(ctx context.Context, sources []int, workers int, fn func(src int, dst []int32)) error {
 	return sssp.AllSourcesParEngineCtxFunc(ctx, s.g, sources, workers, s.engine, s.par, fn)
-}
-
-// pairedSweep implements the paired fast path when both snapshots are
-// BFS-backed with the same engine, reusing one traversal state for the
-// (G_t1, G_t2) row pair per source.
-func (s *BFS) pairedSweep(ctx context.Context, other Source, sources []int, workers int, fn func(src int, d1, d2 []int32)) (bool, error) {
-	o, ok := other.(*BFS)
-	if !ok || o.engine != s.engine {
-		return false, nil
-	}
-	return true, sssp.PairedSourcesParEngineCtxFunc(ctx, s.g, o.g, sources, workers, s.engine, s.par, fn)
 }
 
 // bfsSession reuses one scratch across queries from a single goroutine.
@@ -106,90 +82,19 @@ func (s *bfsSession) DistancesInto(src int, dst []int32) {
 	sssp.ParallelBFSWith(s.src.g, src, dst, s.src.engine, s.src.par, s.scratch)
 }
 
-// newIncrementalPairedEngine implements the incrementalPairable capability:
-// when both sides are BFS-backed over the same node universe, the engine
-// computes each source's t1 row with the regular kernels and repairs a copy
-// of it into the t2 row with dynsssp's batch decrease-only wave over the
-// edge delta G2 \ G1 — computed once here and shared read-only by every
-// session. S1's engine drives the t1 traversal; S2's engine is irrelevant
-// because G2 is never fully traversed.
-func (s *BFS) newIncrementalPairedEngine(other Source) (PairedEngine, bool) {
-	o, ok := other.(*BFS)
-	if !ok || o.g.NumNodes() != s.g.NumNodes() {
-		return nil, false
-	}
-	return &incrPairedEngine{
-		g1:     s.g,
-		g2:     o.g,
-		engine: s.engine,
-		par:    s.par,
-		delta:  graph.NewDelta(s.g, o.g),
-	}, true
-}
-
-// incrPairedEngine is the BFS-backed incremental paired engine. Immutable
-// after construction; sessions and the batched sweep share it concurrently.
-type incrPairedEngine struct {
-	g1, g2 *graph.Graph
-	engine sssp.Engine
-	par    int
-	delta  *graph.Delta
-}
-
-func (e *incrPairedEngine) Mode() PairedMode { return PairedIncremental }
-
-func (e *incrPairedEngine) NewSession() PairedSession {
-	return &incrPairedSession{
-		e:       e,
-		scratch: sssp.NewScratch(e.g1.NumNodes()),
-		repair:  dynsssp.NewScratch(),
-	}
-}
-
-// incrPairedSession owns the per-worker traversal and repair scratch.
-type incrPairedSession struct {
-	e       *incrPairedEngine
-	scratch *sssp.Scratch
-	repair  *dynsssp.Scratch
-}
-
-func (s *incrPairedSession) DistancesPairInto(src int, d1, d2 []int32) {
-	sssp.ParallelBFSWith(s.e.g1, src, d1, s.e.engine, s.e.par, s.scratch)
-	s.DeriveInto(src, d1, d2)
-}
-
-// DeriveInto copies the t1 row and repairs the copy over the delta; the
-// result is bit-identical to a fresh BFS on G2 (pinned by differential fuzz
-// tests in dynsssp and dist).
-func (s *incrPairedSession) DeriveInto(src int, d1, d2 []int32) {
-	copy(d2, d1)
-	s.repair.ApplyAll(s.e.g2, s.e.delta.Edges, d2)
-}
-
-// incrSweepState is the pooled per-callback state of the batched incremental
-// sweep: the derived-row buffer and a repair scratch.
-type incrSweepState struct {
-	d2     []int32
-	repair *dynsssp.Scratch
-}
-
-// sweep implements incrementalSweeper: the t1 side runs through the batched
-// multi-source kernels (bit-parallel BFS when the engine resolution picks
-// it), and each emitted row is repaired into its t2 counterpart in the
-// worker that produced it.
-func (e *incrPairedEngine) sweep(ctx context.Context, sources []int, workers int, fn func(src int, d1, d2 []int32)) error {
-	n := e.g1.NumNodes()
-	var pool sync.Pool
-	return sssp.AllSourcesParEngineCtxFunc(ctx, e.g1, sources, workers, e.engine, e.par, func(src int, d1 []int32) {
-		st, _ := pool.Get().(*incrSweepState)
-		if st == nil {
-			st = &incrSweepState{d2: make([]int32, n), repair: dynsssp.NewScratch()}
+// asBFS unwraps a Source to its BFS backend (nil when it has none), looking
+// through wrappers (e.g. the cross-request Batcher) that expose Unwrap.
+func asBFS(s Source) *BFS {
+	for {
+		if b, ok := s.(*BFS); ok {
+			return b
 		}
-		copy(st.d2, d1)
-		st.repair.ApplyAll(e.g2, e.delta.Edges, st.d2)
-		fn(src, d1, st.d2)
-		pool.Put(st)
-	})
+		u, ok := s.(interface{ Unwrap() Source })
+		if !ok {
+			return nil
+		}
+		s = u.Unwrap()
+	}
 }
 
 // UnweightedGraph unwraps a Source to its underlying *graph.Graph when it is
@@ -197,14 +102,8 @@ func (e *incrPairedEngine) sweep(ctx context.Context, sources []int, workers int
 // expose Unwrap. Structural selectors (betweenness, embedding, incidence)
 // use this to detect — and cleanly reject — metrics they do not generalize to.
 func UnweightedGraph(s Source) (*graph.Graph, bool) {
-	for {
-		if b, ok := s.(*BFS); ok {
-			return b.g, true
-		}
-		u, ok := s.(interface{ Unwrap() Source })
-		if !ok {
-			return nil, false
-		}
-		s = u.Unwrap()
+	if b := asBFS(s); b != nil {
+		return b.g, true
 	}
+	return nil, false
 }

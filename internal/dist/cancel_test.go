@@ -25,9 +25,9 @@ func newSlowSource(inner Source) *slowSource {
 	return &slowSource{inner: inner, release: make(chan struct{})}
 }
 
-func (s *slowSource) NumNodes() int            { return s.inner.NumNodes() }
-func (s *slowSource) NumEdges() int            { return s.inner.NumEdges() }
-func (s *slowSource) Degree(u int) int         { return s.inner.Degree(u) }
+func (s *slowSource) NumNodes() int             { return s.inner.NumNodes() }
+func (s *slowSource) NumEdges() int             { return s.inner.NumEdges() }
+func (s *slowSource) Degree(u int) int          { return s.inner.Degree(u) }
 func (s *slowSource) NeighborIDs(u int) []int32 { return s.inner.NeighborIDs(u) }
 
 func (s *slowSource) DistancesInto(src int, dst []int32) {
@@ -52,7 +52,7 @@ func TestSweepCtxCancellation(t *testing.T) {
 	var delivered atomic.Int64
 	errc := make(chan error, 1)
 	go func() {
-		errc <- SweepCtx(ctx, slow, sources, 2, func(src int, dst []int32) {
+		errc <- Sweep(ctx, slow, sources, 2, func(src int, dst []int32) {
 			delivered.Add(1)
 		})
 	}()
@@ -92,7 +92,7 @@ func TestPairedSweepCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		errc <- PairedSweepCtx(ctx, p, sources, 2, func(src int, d1, d2 []int32) {})
+		errc <- PairedSweep(ctx, p, sources, 2, func(src int, d1, d2 []int32) {})
 	}()
 	for slow1.started.Load() < 2 {
 		runtime.Gosched()
@@ -121,7 +121,7 @@ func TestSweepCtxCancelBFSKernels(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		swept := 0
-		err := SweepCtx(ctx, src, sources, 2, func(int, []int32) { swept++ })
+		err := Sweep(ctx, src, sources, 2, func(int, []int32) { swept++ })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("engine %v: got %v, want context.Canceled", e, err)
 		}
@@ -143,53 +143,11 @@ func TestSweepReusableAfterCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_ = SweepCtx(ctx, src, sources, 2, func(int, []int32) {})
+	_ = Sweep(ctx, src, sources, 2, func(int, []int32) {})
 
 	want := DistanceMatrix(NewBFS(g, sssp.TopDown), sources, 1)
 	got := DistanceMatrix(src, sources, 2)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("post-cancel sweep rows differ")
-	}
-}
-
-// TestIncrementalPairedSweepCtx pins ctx plumbing on the incremental driver:
-// an uncanceled run matches the non-ctx API, and a pre-canceled run reports
-// the context error without delivering rows.
-func TestIncrementalPairedSweepCtx(t *testing.T) {
-	g1, g2 := evolvedPair(t, 70, 29)
-	p := Pair{S1: NewBFS(g1, sssp.Auto), S2: NewBFS(g2, sssp.Auto)}
-	sources := []int{0, 5, 12, 31}
-
-	type row struct{ d1, d2 []int32 }
-	collect := func(run func(fn func(src int, d1, d2 []int32))) map[int]row {
-		out := make(map[int]row)
-		run(func(src int, d1, d2 []int32) {
-			out[src] = row{append([]int32(nil), d1...), append([]int32(nil), d2...)}
-		})
-		return out
-	}
-	direct := collect(func(fn func(int, []int32, []int32)) {
-		IncrementalPairedSweep(p, sources, 2, fn)
-	})
-	viaCtx := collect(func(fn func(int, []int32, []int32)) {
-		mode, err := IncrementalPairedSweepCtx(context.Background(), p, sources, 2, fn)
-		if mode != PairedIncremental || err != nil {
-			t.Fatalf("ctx run: mode %v err %v", mode, err)
-		}
-	})
-	if !reflect.DeepEqual(direct, viaCtx) {
-		t.Fatalf("ctx and non-ctx incremental sweeps differ")
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	delivered := 0
-	if _, err := IncrementalPairedSweepCtx(ctx, p, sources, 2, func(int, []int32, []int32) {
-		delivered++
-	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if delivered != 0 {
-		t.Fatalf("pre-canceled incremental sweep delivered %d rows", delivered)
 	}
 }

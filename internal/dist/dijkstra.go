@@ -35,9 +35,6 @@ func (s *Dijkstra) Degree(u int) int { return s.g.Degree(u) }
 // storage.
 func (s *Dijkstra) NeighborIDs(u int) []int32 { return s.g.NeighborIDs(u) }
 
-// Graph returns the underlying weighted graph.
-func (s *Dijkstra) Graph() *graph.Weighted { return s.g }
-
 // DistancesInto runs one Dijkstra from src with a fresh scratch.
 func (s *Dijkstra) DistancesInto(src int, dst []int32) {
 	sssp.DijkstraWith(s.g, src, dst, nil)
@@ -57,13 +54,4 @@ type dijkstraSession struct {
 
 func (s *dijkstraSession) DistancesInto(src int, dst []int32) {
 	sssp.DijkstraWith(s.src.g, src, dst, s.scratch)
-}
-
-// WeightedGraph unwraps a Source to its underlying *graph.Weighted when it
-// is Dijkstra-backed.
-func WeightedGraph(s Source) (*graph.Weighted, bool) {
-	if d, ok := s.(*Dijkstra); ok {
-		return d.g, true
-	}
-	return nil, false
 }

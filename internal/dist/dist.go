@@ -22,7 +22,6 @@ import (
 	"runtime/pprof"
 	"sync"
 
-	"repro/internal/graph"
 	"repro/internal/sssp"
 )
 
@@ -78,9 +77,10 @@ func NewSession(s Source) Session {
 }
 
 // sweeper is the optional capability of sources with a batched multi-source
-// driver (e.g. the BFS source's bit-parallel kernel path).
+// driver (the BFS source's bit-parallel kernel path, the Batcher's
+// cross-request coalescing).
 type sweeper interface {
-	SweepCtx(ctx context.Context, sources []int, workers int, fn func(src int, dst []int32)) error
+	Sweep(ctx context.Context, sources []int, workers int, fn func(src int, dst []int32)) error
 }
 
 // Sweep computes the distances from every source in sources, invoking
@@ -88,21 +88,30 @@ type sweeper interface {
 // valid during the call. Sources with a batched kernel drive the sweep
 // themselves; others get a generic session-per-worker pool. The sweep costs
 // len(sources) budget units.
-func Sweep(s Source, sources []int, workers int, fn func(src int, dst []int32)) {
-	_ = SweepCtx(context.Background(), s, sources, workers, fn)
-}
-
-// SweepCtx is Sweep under a context: once ctx is done, no further source
-// starts traversing and the driver returns ctx's error, so an abandoned
-// request stops burning traversal work. Sources whose sweep already began
-// deliver their rows whole (fn is never interrupted mid-row), cancellation
-// never changes a delivered row, and all pooled scratch stays reusable for
-// the next sweep.
-func SweepCtx(ctx context.Context, s Source, sources []int, workers int, fn func(src int, dst []int32)) error {
+//
+// Once ctx is done no further source starts traversing and Sweep returns
+// ctx's error, so an abandoned request stops burning traversal work. Sources
+// whose sweep already began deliver their rows whole (fn is never
+// interrupted mid-row), cancellation never changes a delivered row, and all
+// pooled scratch stays reusable for the next sweep.
+func Sweep(ctx context.Context, s Source, sources []int, workers int, fn func(src int, dst []int32)) error {
 	if sw, ok := s.(sweeper); ok {
-		return sw.SweepCtx(ctx, sources, workers, fn)
+		return sw.Sweep(ctx, sources, workers, fn)
 	}
 	n := s.NumNodes()
+	return fanOut(ctx, sources, workers, func() func(int) {
+		sess, dst := NewSession(s), make([]int32, n)
+		return func(src int) {
+			sess.DistancesInto(src, dst)
+			fn(src, dst)
+		}
+	})
+}
+
+// fanOut feeds sources to at most workers goroutines, each running the
+// per-source handler newWorker built for it (so handlers own their scratch).
+// Once ctx is done, queued sources are drained without being handled.
+func fanOut(ctx context.Context, sources []int, workers int, newWorker func() func(src int)) error {
 	workers = sssp.ClampWorkers(workers, len(sources))
 	var wg sync.WaitGroup
 	next := make(chan int, workers)
@@ -111,15 +120,11 @@ func SweepCtx(ctx context.Context, s Source, sources []int, workers int, fn func
 		go pprof.Do(context.Background(), pprof.Labels("subsystem", "dist-sweep"),
 			func(context.Context) {
 				defer wg.Done()
-				sess := NewSession(s)
-				dst := make([]int32, n)
+				handle := newWorker()
 				for i := range next {
-					if ctx.Err() != nil {
-						continue // drain without traversing
+					if ctx.Err() == nil {
+						handle(sources[i])
 					}
-					src := sources[i]
-					sess.DistancesInto(src, dst)
-					fn(src, dst)
 				}
 			})
 	}
@@ -141,7 +146,7 @@ func DistanceMatrix(s Source, sources []int, workers int) [][]int32 {
 	for i, src := range sources {
 		index[src] = i
 	}
-	Sweep(s, sources, workers, func(src int, dst []int32) {
+	_ = Sweep(context.Background(), s, sources, workers, func(src int, dst []int32) {
 		row := make([]int32, len(dst))
 		copy(row, dst)
 		rows[index[src]] = row
@@ -178,67 +183,29 @@ func (p Pair) Validate() error {
 // NumNodes returns the shared node-universe size.
 func (p Pair) NumNodes() int { return p.S1.NumNodes() }
 
-// pairedSweeper is the optional capability of source pairs with a shared
-// batched driver (both BFS-backed on the same engine).
-type pairedSweeper interface {
-	pairedSweep(ctx context.Context, other Source, sources []int, workers int, fn func(src int, d1, d2 []int32)) (bool, error)
-}
-
 // PairedSweep computes, for every source, its distance rows on both
 // snapshots and invokes fn(src, d1, d2); the buffers are only valid during
-// the call. BFS pairs route to sssp's paired multi-source kernels; anything
-// else runs the generic session pool. Costs 2·len(sources) budget units.
-func PairedSweep(p Pair, sources []int, workers int, fn func(src int, d1, d2 []int32)) {
-	_ = PairedSweepCtx(context.Background(), p, sources, workers, fn)
-}
-
-// PairedSweepCtx is PairedSweep under a context, with the same cancellation
-// contract as SweepCtx: no new source starts after ctx is done, in-flight row
-// pairs are delivered whole, scratch stays reusable.
-func PairedSweepCtx(ctx context.Context, p Pair, sources []int, workers int, fn func(src int, d1, d2 []int32)) error {
-	if ps, ok := p.S1.(pairedSweeper); ok {
-		if handled, err := ps.pairedSweep(ctx, p.S2, sources, workers, fn); handled {
-			return err
-		}
+// the call. A pair of BFS sources on the same engine routes to sssp's paired
+// multi-source kernels; anything else runs the generic session pool. Costs
+// 2·len(sources) budget units. Cancellation follows Sweep's contract: no new
+// source starts after ctx is done, in-flight row pairs are delivered whole,
+// scratch stays reusable.
+func PairedSweep(ctx context.Context, p Pair, sources []int, workers int, fn func(src int, d1, d2 []int32)) error {
+	b1, ok1 := p.S1.(*BFS)
+	b2, ok2 := p.S2.(*BFS)
+	if ok1 && ok2 && b1.engine == b2.engine {
+		return sssp.PairedSourcesParEngineCtxFunc(ctx, b1.g, b2.g, sources, workers, b1.engine, b1.par, fn)
 	}
 	n := p.NumNodes()
-	workers = sssp.ClampWorkers(workers, len(sources))
-	var wg sync.WaitGroup
-	next := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go pprof.Do(context.Background(), pprof.Labels("subsystem", "dist-sweep"),
-			func(context.Context) {
-				defer wg.Done()
-				s1 := NewSession(p.S1)
-				s2 := NewSession(p.S2)
-				d1 := make([]int32, n)
-				d2 := make([]int32, n)
-				for i := range next {
-					if ctx.Err() != nil {
-						continue // drain without traversing
-					}
-					src := sources[i]
-					s1.DistancesInto(src, d1)
-					s2.DistancesInto(src, d2)
-					fn(src, d1, d2)
-				}
-			})
-	}
-	for i := range sources {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return ctx.Err()
-}
-
-// LargestComponent returns the nodes of s's largest connected component,
-// sorted ascending, with the total component count. Component analysis is
-// structural (free in the paper's cost model), shared across metrics via
-// graph.LargestComponentOf.
-func LargestComponent(s Source) (nodes []int, components int) {
-	return graph.LargestComponentOf(s)
+	return fanOut(ctx, sources, workers, func() func(int) {
+		s1, s2 := NewSession(p.S1), NewSession(p.S2)
+		d1, d2 := make([]int32, n), make([]int32, n)
+		return func(src int) {
+			s1.DistancesInto(src, d1)
+			s2.DistancesInto(src, d2)
+			fn(src, d1, d2)
+		}
+	})
 }
 
 // Density returns the edge density 2E / (N (N-1)) of a source's snapshot.
@@ -260,4 +227,3 @@ func MaxDegree(s Source) int {
 	}
 	return max
 }
-

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -96,7 +97,7 @@ func TestSweepAndMatrix(t *testing.T) {
 		// worker goroutines, so guard the tally.
 		var mu sync.Mutex
 		visited := map[int]int{}
-		Sweep(src, []int{1, 2, 3}, 2, func(s int, dst []int32) {
+		_ = Sweep(context.Background(), src, []int{1, 2, 3}, 2, func(s int, dst []int32) {
 			mu.Lock()
 			visited[s]++
 			mu.Unlock()
@@ -124,7 +125,7 @@ func TestPairedSweepFastAndGenericAgree(t *testing.T) {
 	collect := func(p Pair) map[int][2][]int32 {
 		var mu sync.Mutex
 		out := map[int][2][]int32{}
-		PairedSweep(p, sources, 2, func(src int, d1, d2 []int32) {
+		_ = PairedSweep(context.Background(), p, sources, 2, func(src int, d1, d2 []int32) {
 			c1 := append([]int32(nil), d1...)
 			c2 := append([]int32(nil), d2...)
 			mu.Lock()
@@ -161,66 +162,59 @@ func evolvedPair(t testing.TB, n int, seed int64) (*graph.Graph, *graph.Graph) {
 	return g1, graph.FromEdges(n, edges)
 }
 
-// TestIncrementalPairedSweepMatchesFull is the dist-level differential pin:
-// for every BFS engine, the incremental sweep (t1 traversal + delta repair)
-// must produce exactly the rows of the full paired sweep, and report that it
-// actually ran incrementally. A Dijkstra pair lacks the capability and must
-// fall back to the full path with identical results on unit weights.
-func TestIncrementalPairedSweepMatchesFull(t *testing.T) {
+// TestPairedIncrementalMatchesFull is the dist-level differential pin: for
+// every BFS engine, the incremental producer (t1 traversal + delta repair)
+// must produce exactly the rows of the full paired sweep, both as a row pair
+// and as a derive from a given t1 row, and report that it actually runs
+// incrementally. A Dijkstra pair cannot share a delta and must fall back to
+// full with identical results on unit weights.
+func TestPairedIncrementalMatchesFull(t *testing.T) {
 	g1, g2 := evolvedPair(t, 60, 13)
 	sources := []int{0, 7, 19, 33, 59}
-	collect := func(sweep func(fn func(src int, d1, d2 []int32)) PairedMode) (map[int][2][]int32, PairedMode) {
+	fullRows := func(p Pair) map[int][2][]int32 {
 		var mu sync.Mutex
 		out := map[int][2][]int32{}
-		mode := sweep(func(src int, d1, d2 []int32) {
+		_ = PairedSweep(context.Background(), p, sources, 2, func(src int, d1, d2 []int32) {
 			c1 := append([]int32(nil), d1...)
 			c2 := append([]int32(nil), d2...)
 			mu.Lock()
 			out[src] = [2][]int32{c1, c2}
 			mu.Unlock()
 		})
-		return out, mode
+		return out
+	}
+	check := func(name string, p Pair, wantMode PairedMode) {
+		full := fullRows(p)
+		eng := NewPaired(p, PairedIncremental)
+		if eng.Mode() != wantMode {
+			t.Fatalf("%s: mode = %v, want %v", name, eng.Mode(), wantMode)
+		}
+		sess := eng.NewWorker()
+		n := p.NumNodes()
+		d1, d2, derived := make([]int32, n), make([]int32, n), make([]int32, n)
+		for _, u := range sources {
+			if cut := sess.Rows(u, d1, d2, nil); cut {
+				t.Fatalf("%s: unbounded Rows(%d) reported a cut", name, u)
+			}
+			sess.Derive(u, full[u][0], derived, nil)
+			if !reflect.DeepEqual(d1, full[u][0]) || !reflect.DeepEqual(d2, full[u][1]) ||
+				!reflect.DeepEqual(derived, full[u][1]) {
+				t.Fatalf("%s: rows from %d diverge from the full sweep", name, u)
+			}
+		}
 	}
 	for _, eng := range []sssp.Engine{sssp.Auto, sssp.TopDown, sssp.DirectionOpt,
 		sssp.BitParallel64, sssp.BitParallel256, sssp.BitParallel512} {
 		// par=2 exercises the intra-traversal parallel kernels end to end;
 		// results must be bit-identical to serial (pinned in sssp's fuzz).
-		p := BFSPairPar(graph.SnapshotPair{G1: g1, G2: g2}, eng, 2)
-		full, _ := collect(func(fn func(int, []int32, []int32)) PairedMode {
-			PairedSweep(p, sources, 2, fn)
-			return PairedFull
-		})
-		incr, mode := collect(func(fn func(int, []int32, []int32)) PairedMode {
-			return IncrementalPairedSweep(p, sources, 2, fn)
-		})
-		if mode != PairedIncremental {
-			t.Fatalf("engine %v: mode = %v, want incremental", eng, mode)
-		}
-		if !reflect.DeepEqual(full, incr) {
-			t.Fatalf("engine %v: incremental sweep diverges from full", eng)
-		}
+		check(eng.String(), BFSPairPar(graph.SnapshotPair{G1: g1, G2: g2}, eng, 2), PairedIncremental)
 	}
-	// Dijkstra pair: no incremental capability, silent full fallback.
-	dp := DijkstraPair(graph.FromUnweighted(g1), graph.FromUnweighted(g2))
-	fullD, _ := collect(func(fn func(int, []int32, []int32)) PairedMode {
-		PairedSweep(dp, sources, 2, fn)
-		return PairedFull
-	})
-	incrD, mode := collect(func(fn func(int, []int32, []int32)) PairedMode {
-		return IncrementalPairedSweep(dp, sources, 2, fn)
-	})
-	if mode != PairedFull {
-		t.Fatalf("Dijkstra pair: mode = %v, want full fallback", mode)
-	}
-	if !reflect.DeepEqual(fullD, incrD) {
-		t.Fatal("Dijkstra fallback sweep diverges from full sweep")
-	}
+	check("dijkstra", DijkstraPair(graph.FromUnweighted(g1), graph.FromUnweighted(g2)), PairedFull)
 }
 
-// TestPairedEngineSessions pins the session API both engines expose to core:
-// DistancesPairInto fills both rows, DeriveInto derives just the t2 row from
-// a caller-supplied t1 row, and both agree with direct source queries in
-// both modes.
+// TestPairedEngineSessions pins the session API core extracts through: Rows
+// fills both rows, Derive derives just the t2 row from a caller-supplied t1
+// row, and both agree with direct source queries in both modes.
 func TestPairedEngineSessions(t *testing.T) {
 	g1, g2 := evolvedPair(t, 50, 17)
 	p := BFSPair(graph.SnapshotPair{G1: g1, G2: g2}, sssp.Auto)
@@ -228,38 +222,39 @@ func TestPairedEngineSessions(t *testing.T) {
 	want1 := make([]int32, n)
 	want2 := make([]int32, n)
 	for _, mode := range []PairedMode{PairedFull, PairedIncremental} {
-		eng := NewPairedEngine(p, mode)
+		eng := NewPaired(p, mode)
 		if eng.Mode() != mode {
 			t.Fatalf("mode = %v, want %v", eng.Mode(), mode)
 		}
-		sess := eng.NewSession()
+		sess := eng.NewWorker()
 		d1 := make([]int32, n)
 		d2 := make([]int32, n)
 		for u := 0; u < n; u += 5 {
 			p.S1.DistancesInto(u, want1)
 			p.S2.DistancesInto(u, want2)
-			sess.DistancesPairInto(u, d1, d2)
+			sess.Rows(u, d1, d2, nil)
 			if !reflect.DeepEqual(d1, want1) || !reflect.DeepEqual(d2, want2) {
-				t.Fatalf("mode %v: DistancesPairInto(%d) diverges", mode, u)
+				t.Fatalf("mode %v: Rows(%d) diverges", mode, u)
 			}
 			for i := range d2 {
-				d2[i] = -7 // poison; DeriveInto must fully overwrite
+				d2[i] = -7 // poison; Derive must fully overwrite
 			}
-			sess.DeriveInto(u, want1, d2)
+			sess.Derive(u, want1, d2, nil)
 			if !reflect.DeepEqual(d2, want2) {
-				t.Fatalf("mode %v: DeriveInto(%d) diverges", mode, u)
+				t.Fatalf("mode %v: Derive(%d) diverges", mode, u)
 			}
 		}
 	}
-	// Requesting incremental on a capability-less pair degrades to full.
+	// Requesting incremental on a pair without a shared delta degrades to
+	// full.
 	dp := DijkstraPair(graph.FromUnweighted(g1), graph.FromUnweighted(g2))
-	if m := NewPairedEngine(dp, PairedIncremental).Mode(); m != PairedFull {
+	if m := NewPaired(dp, PairedIncremental).Mode(); m != PairedFull {
 		t.Fatalf("Dijkstra engine mode = %v, want full", m)
 	}
 	// Mismatched universes can't share a delta either.
 	small := randomGraph(t, 10, 1)
 	mix := Pair{S1: NewBFS(g1, sssp.Auto), S2: NewBFS(small, sssp.Auto)}
-	if m := NewPairedEngine(mix, PairedIncremental).Mode(); m != PairedFull {
+	if m := NewPaired(mix, PairedIncremental).Mode(); m != PairedFull {
 		t.Fatalf("mismatched-universe engine mode = %v, want full", m)
 	}
 }
@@ -283,7 +278,7 @@ func TestParsePairedMode(t *testing.T) {
 // TestSweepEdgeCases covers the generic fallback corners only the batched
 // BFS path used to exercise: empty source sets, more workers than sources,
 // and a single-node graph — on Sweep, PairedSweep, and the incremental
-// sweep, for both the kernel-backed and session-pool paths.
+// paired producer, for both the kernel-backed and session-pool paths.
 func TestSweepEdgeCases(t *testing.T) {
 	single := graph.FromEdges(1, nil)
 	g := randomGraph(t, 12, 5)
@@ -293,14 +288,14 @@ func TestSweepEdgeCases(t *testing.T) {
 	for _, s := range srcs(g) {
 		// Empty sources: no callbacks, no hang.
 		calls := 0
-		Sweep(s, nil, 4, func(int, []int32) { calls++ })
+		_ = Sweep(context.Background(), s, nil, 4, func(int, []int32) { calls++ })
 		if calls != 0 {
 			t.Fatalf("%T: empty sweep made %d calls", s, calls)
 		}
 		// More workers than sources.
 		var mu sync.Mutex
 		got := map[int]int{}
-		Sweep(s, []int{1, 2}, 16, func(u int, _ []int32) {
+		_ = Sweep(context.Background(), s, []int{1, 2}, 16, func(u int, _ []int32) {
 			mu.Lock()
 			got[u]++
 			mu.Unlock()
@@ -311,7 +306,7 @@ func TestSweepEdgeCases(t *testing.T) {
 	}
 	for _, s := range srcs(single) {
 		visited := 0
-		Sweep(s, []int{0}, 3, func(u int, d []int32) {
+		_ = Sweep(context.Background(), s, []int{0}, 3, func(u int, d []int32) {
 			visited++
 			if u != 0 || len(d) != 1 || d[0] != 0 {
 				t.Fatalf("%T: single-node row = %v from %d", s, d, u)
@@ -328,37 +323,27 @@ func TestSweepEdgeCases(t *testing.T) {
 	}
 	for _, p := range pairs {
 		calls := 0
-		PairedSweep(p, nil, 4, func(int, []int32, []int32) { calls++ })
-		IncrementalPairedSweep(p, nil, 4, func(int, []int32, []int32) { calls++ })
+		_ = PairedSweep(context.Background(), p, nil, 4, func(int, []int32, []int32) { calls++ })
 		if calls != 0 {
-			t.Fatalf("empty paired sweeps made %d calls", calls)
+			t.Fatalf("empty paired sweep made %d calls", calls)
 		}
 		var mu sync.Mutex
 		seen := map[int]int{}
-		PairedSweep(p, []int{3, 4}, 32, func(u int, _, _ []int32) {
+		_ = PairedSweep(context.Background(), p, []int{3, 4}, 32, func(u int, _, _ []int32) {
 			mu.Lock()
 			seen[u]++
 			mu.Unlock()
 		})
-		IncrementalPairedSweep(p, []int{3, 4}, 32, func(u int, _, _ []int32) {
-			mu.Lock()
-			seen[u] += 10
-			mu.Unlock()
-		})
-		if len(seen) != 2 || seen[3] != 11 || seen[4] != 11 {
-			t.Fatalf("over-workered paired sweeps visits = %v", seen)
+		if len(seen) != 2 || seen[3] != 1 || seen[4] != 1 {
+			t.Fatalf("over-workered paired sweep visits = %v", seen)
 		}
 	}
 	sp := Pair{S1: NewBFS(single, sssp.Auto), S2: NewBFS(single, sssp.Auto)}
-	visits := 0
-	IncrementalPairedSweep(sp, []int{0}, 2, func(u int, d1, d2 []int32) {
-		visits++
-		if d1[0] != 0 || d2[0] != 0 {
-			t.Fatalf("single-node paired rows = %v, %v", d1, d2)
-		}
-	})
-	if visits != 1 {
-		t.Fatalf("single-node incremental sweep visits = %d", visits)
+	sess := NewPaired(sp, PairedIncremental).NewWorker()
+	d1, d2 := []int32{-7}, []int32{-7}
+	sess.Rows(0, d1, d2, nil)
+	if d1[0] != 0 || d2[0] != 0 {
+		t.Fatalf("single-node paired rows = %v, %v", d1, d2)
 	}
 }
 
@@ -368,7 +353,7 @@ func TestStructuralHelpers(t *testing.T) {
 	// node 5 (a singleton component).
 	g := graph.FromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 3, V: 4}})
 	for _, src := range []Source{NewBFS(g, sssp.Auto), NewDijkstra(graph.FromUnweighted(g))} {
-		comp, count := LargestComponent(src)
+		comp, count := graph.LargestComponentOf(src)
 		sort.Ints(comp)
 		if count != 3 || !reflect.DeepEqual(comp, []int{0, 1, 2}) {
 			t.Fatalf("%T: largest component = %v (count %d)", src, comp, count)
@@ -402,20 +387,13 @@ func TestPairValidate(t *testing.T) {
 	}
 }
 
-// TestUnwrappers pins the structural escape hatches both ways.
+// TestUnwrappers pins the structural escape hatch both ways.
 func TestUnwrappers(t *testing.T) {
 	g := randomGraph(t, 8, 2)
-	w := graph.FromUnweighted(g)
 	if got, ok := UnweightedGraph(NewBFS(g, sssp.Auto)); !ok || got != g {
 		t.Fatal("UnweightedGraph failed on a BFS source")
 	}
-	if _, ok := UnweightedGraph(NewDijkstra(w)); ok {
+	if _, ok := UnweightedGraph(NewDijkstra(graph.FromUnweighted(g))); ok {
 		t.Fatal("UnweightedGraph should reject a Dijkstra source")
-	}
-	if got, ok := WeightedGraph(NewDijkstra(w)); !ok || got != w {
-		t.Fatal("WeightedGraph failed on a Dijkstra source")
-	}
-	if _, ok := WeightedGraph(NewBFS(g, sssp.Auto)); ok {
-		t.Fatal("WeightedGraph should reject a BFS source")
 	}
 }

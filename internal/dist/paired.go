@@ -1,11 +1,9 @@
 package dist
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
-	"sync"
 
+	"repro/internal/dynsssp"
 	"repro/internal/graph"
 	"repro/internal/sssp"
 )
@@ -50,149 +48,106 @@ func ParsePairedMode(s string) (PairedMode, error) {
 	}
 }
 
-// PairedSession is a single-goroutine handle producing both snapshot rows of
-// one source. Both methods follow the paper's cost model: one budget unit per
-// distance row *produced*, regardless of how much traversal producing it
-// took — so DistancesPairInto costs 2 units and DeriveInto costs 1, in every
-// mode. Callers charge their meter accordingly before invoking.
-type PairedSession interface {
-	// DistancesPairInto fills d1 and d2 (each length NumNodes) with the
-	// distance rows of src on G_t1 and G_t2. Costs 2 budget units.
-	DistancesPairInto(src int, d1, d2 []int32)
-	// DeriveInto fills d2 with src's G_t2 row, given its already-computed
-	// G_t1 row d1 (read-only; full-mode engines ignore it and re-traverse).
-	// Costs 1 budget unit.
-	DeriveInto(src int, d1, d2 []int32)
+// Paired produces both snapshot rows of a source over one Pair, the
+// per-candidate step of Algorithm 1. It is built once per pair (incremental
+// mode computes the snapshot edge delta there), is immutable afterwards, and
+// hands out one PairedWorker per extraction goroutine.
+//
+// Each row takes one fixed route. In full mode the t1 row comes from a
+// session on S1 (the Batcher, when serving), an unbounded t2 row from a
+// session on S2, and a bounded t2 row from sssp.PrunedSecondBFS on G2. In
+// incremental mode (both sides BFS-backed over one node universe) the t1 row
+// is a traversal of G1 with S1's kernel on the worker's own scratch, and the
+// t2 row repairs a copy of it over the edge delta G2 \ G1 with dynsssp's
+// decrease-only wave; G2 is never fully traversed, so there is nothing to
+// batch. Pairs without a BFS-backed G2 (Dijkstra) run full and ignore the
+// bound.
+type Paired struct {
+	p     Pair
+	mode  PairedMode
+	b1    *BFS         // S1's backend, driving incremental t1 traversals
+	g2    *graph.Graph // G2 when S2 is BFS-backed, else nil
+	delta *graph.Delta // G2 \ G1, incremental mode only
 }
 
-// PairedEngine produces PairedSessions over one snapshot pair. Engines are
-// built once per run (NewPairedEngine computes the shared edge delta there)
-// and hand out one session per worker.
-type PairedEngine interface {
-	NewSession() PairedSession
-	// Mode reports the mode the engine actually runs in — PairedFull when an
-	// incremental request fell back.
-	Mode() PairedMode
-}
-
-// incrementalPairable is the optional capability of sources that can build
-// an incremental paired engine against a second snapshot (currently the BFS
-// source, when both sides share a node universe).
-type incrementalPairable interface {
-	newIncrementalPairedEngine(other Source) (PairedEngine, bool)
-}
-
-// NewPairedEngine builds the paired engine for p in the requested mode.
-// PairedIncremental silently falls back to a full engine when the pair lacks
-// the capability (e.g. Dijkstra sources); inspect Mode() on the result to
-// see what was actually built.
-func NewPairedEngine(p Pair, mode PairedMode) PairedEngine {
-	if mode == PairedIncremental {
-		if ip, ok := p.S1.(incrementalPairable); ok {
-			if eng, ok := ip.newIncrementalPairedEngine(p.S2); ok {
-				return eng
-			}
-		}
+// NewPaired builds the row producer for p in the requested mode.
+// PairedIncremental silently falls back to full when the pair cannot share
+// an edge delta (e.g. Dijkstra sources); Mode reports what was built.
+func NewPaired(p Pair, mode PairedMode) *Paired {
+	e := &Paired{p: p, mode: PairedFull}
+	if b2 := asBFS(p.S2); b2 != nil {
+		e.g2 = b2.g
 	}
-	var e fullPairedEngine
-	e.p = p
+	if b1 := asBFS(p.S1); mode == PairedIncremental && b1 != nil && e.g2 != nil && b1.g.NumNodes() == e.g2.NumNodes() {
+		e.mode, e.b1, e.delta = PairedIncremental, b1, graph.NewDelta(b1.g, e.g2)
+	}
 	return e
 }
 
-// fullPairedEngine is the mode-agnostic fallback: two independent sessions,
-// one full traversal per row.
-type fullPairedEngine struct {
-	p Pair
-}
+// Mode reports the mode the producer runs in: PairedFull when an
+// incremental request fell back.
+func (e *Paired) Mode() PairedMode { return e.mode }
 
-func (e fullPairedEngine) Mode() PairedMode { return PairedFull }
-
-func (e fullPairedEngine) NewSession() PairedSession {
-	s := &fullPairedSession{s1: NewSession(e.p.S1), s2: NewSession(e.p.S2)}
-	// When the second snapshot unwraps to an unweighted graph, the session
-	// also offers the Δ-threshold bounded traversal (see pruned.go).
-	if g2, ok := UnweightedGraph(e.p.S2); ok {
-		s.g2 = g2
+// NewWorker returns a single-goroutine handle owning the traversal and
+// repair scratch of one worker.
+func (e *Paired) NewWorker() *PairedWorker {
+	if e.mode == PairedIncremental {
+		return &PairedWorker{e: e, scratch: sssp.NewScratch(e.b1.g.NumNodes()), repair: dynsssp.NewScratch()}
 	}
-	return s
+	return &PairedWorker{e: e, s1: NewSession(e.p.S1), s2: NewSession(e.p.S2)}
 }
 
-type fullPairedSession struct {
-	s1, s2 Session
-	// g2 and pruned back the PrunedPairSession capability; g2 is nil when
-	// the second source is not BFS-backed and bounded calls fall back to
-	// full traversals.
-	g2     *graph.Graph
-	pruned *sssp.PrunedScratch
+// PairedWorker produces both snapshot rows of one source at a time. Both
+// methods follow the paper's cost model: one budget unit per distance row
+// produced, however much traversal producing it took, so Rows costs 2 units
+// and Derive 1 in every mode. Callers charge their meter before calling.
+//
+// bound is the Δ-threshold of pruned extraction; nil means unbounded. t2 work
+// stops once bound() proves no remaining node can reach a top-k pair (see
+// sssp.PrunedSecondBFS for the soundness argument), and both methods report
+// whether it was cut. A cut d2 row is valid only for delta extraction against
+// its d1: abandoned nodes hold d2 = d1 (delta 0), not their true distance, so
+// it must never be cached or served as a distance row. The bound changes
+// machine work, never the charge.
+type PairedWorker struct {
+	e       *Paired
+	s1, s2  Session             // full mode
+	pruned  *sssp.PrunedScratch // full mode, bounded t2; allocated on first use
+	scratch *sssp.Scratch       // incremental t1 traversal
+	repair  *dynsssp.Scratch    // incremental t2 repair
 }
 
-func (s *fullPairedSession) DistancesPairInto(src int, d1, d2 []int32) {
-	s.s1.DistancesInto(src, d1)
-	s.s2.DistancesInto(src, d2)
-}
-
-// DeriveInto in full mode ignores d1 and recomputes the t2 row from scratch.
-func (s *fullPairedSession) DeriveInto(src int, d1, d2 []int32) {
-	s.s2.DistancesInto(src, d2)
-}
-
-// incrementalSweeper is the optional capability of paired engines with a
-// batched multi-source driver (the BFS incremental engine routes the t1 side
-// through sssp's multi-source kernels).
-type incrementalSweeper interface {
-	sweep(ctx context.Context, sources []int, workers int, fn func(src int, d1, d2 []int32)) error
-}
-
-// IncrementalPairedSweep is PairedSweep's incremental sibling: for every
-// source it produces the G_t1 row with a full traversal and derives the
-// G_t2 row via the shared edge delta, invoking fn(src, d1, d2) from at most
-// workers goroutines (buffers only valid during the call). Pairs without
-// the incremental capability fall back to the regular PairedSweep. Returns
-// the mode that actually ran. Costs 2·len(sources) budget units either way
-// (the cost model charges rows produced, not traversal work).
-func IncrementalPairedSweep(p Pair, sources []int, workers int, fn func(src int, d1, d2 []int32)) PairedMode {
-	mode, _ := IncrementalPairedSweepCtx(context.Background(), p, sources, workers, fn)
-	return mode
-}
-
-// IncrementalPairedSweepCtx is IncrementalPairedSweep under a context, with
-// the same cancellation contract as SweepCtx: no new source starts after ctx
-// is done, in-flight row pairs are delivered whole, scratch stays reusable.
-func IncrementalPairedSweepCtx(ctx context.Context, p Pair, sources []int, workers int, fn func(src int, d1, d2 []int32)) (PairedMode, error) {
-	eng := NewPairedEngine(p, PairedIncremental)
-	if eng.Mode() != PairedIncremental {
-		return PairedFull, PairedSweepCtx(ctx, p, sources, workers, fn)
+// Rows fills d1 and d2 (each length NumNodes) with src's rows on G_t1 and
+// G_t2 and reports whether the t2 work was cut. Costs 2 budget units.
+func (s *PairedWorker) Rows(src int, d1, d2 []int32, bound func() int32) bool {
+	if b := s.e.b1; b != nil {
+		sssp.ParallelBFSWith(b.g, src, d1, b.engine, b.par, s.scratch)
+	} else {
+		s.s1.DistancesInto(src, d1)
 	}
-	if sw, ok := eng.(incrementalSweeper); ok {
-		return PairedIncremental, sw.sweep(ctx, sources, workers, fn)
+	return s.Derive(src, d1, d2, bound)
+}
+
+// Derive fills d2 with src's G_t2 row given its already computed G_t1 row d1
+// (read-only) and reports whether the work was cut. Incremental mode repairs
+// a copy of d1; full mode re-traverses G_t2, reading d1 only to bound the
+// traversal. Costs 1 budget unit.
+func (s *PairedWorker) Derive(src int, d1, d2 []int32, bound func() int32) bool {
+	switch {
+	case s.e.delta != nil:
+		copy(d2, d1)
+		if bound == nil {
+			s.repair.ApplyAll(s.e.g2, s.e.delta.Edges, d2)
+			return false
+		}
+		_, cut := s.repair.ApplyAllBounded(s.e.g2, s.e.delta.Edges, d2, d1, bound)
+		return cut
+	case bound == nil || s.e.g2 == nil:
+		s.s2.DistancesInto(src, d2)
+		return false
 	}
-	// Generic pool: one incremental session per worker.
-	n := p.NumNodes()
-	workers = sssp.ClampWorkers(workers, len(sources))
-	var wg sync.WaitGroup
-	next := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go pprof.Do(context.Background(), pprof.Labels("subsystem", "dist-sweep"),
-			func(context.Context) {
-				defer wg.Done()
-				sess := eng.NewSession()
-				d1 := make([]int32, n)
-				d2 := make([]int32, n)
-				for i := range next {
-					if ctx.Err() != nil {
-						continue // drain without traversing
-					}
-					src := sources[i]
-					sess.DistancesPairInto(src, d1, d2)
-					fn(src, d1, d2)
-				}
-			})
+	if s.pruned == nil {
+		s.pruned = &sssp.PrunedScratch{}
 	}
-	for i := range sources {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return PairedIncremental, ctx.Err()
+	return sssp.PrunedSecondBFS(s.e.g2, src, d1, d2, bound, s.pruned)
 }

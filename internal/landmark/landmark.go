@@ -89,7 +89,7 @@ func SelectSource(strategy Strategy, s1 dist.Source, l int, rng *rand.Rand, mete
 	if l <= 0 {
 		return Set{}, fmt.Errorf("landmark: non-positive landmark count %d", l)
 	}
-	comp, _ := dist.LargestComponent(s1)
+	comp, _ := graph.LargestComponentOf(s1)
 	if len(comp) == 0 {
 		return Set{}, fmt.Errorf("%w: empty graph", ErrNoLandmarks)
 	}

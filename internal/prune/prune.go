@@ -51,7 +51,9 @@ func NewThreshold(k int) *Threshold {
 	if k <= 0 {
 		panic("prune: non-positive k")
 	}
-	return &Threshold{k: k, heap: make([]int32, 0, k)}
+	// The heap grows with the offers; a client-chosen k far above the pair
+	// count must not reserve memory up front.
+	return &Threshold{k: k, heap: make([]int32, 0, min(k, 1024))}
 }
 
 // Load returns the current threshold (0 before it first rises). Deltas

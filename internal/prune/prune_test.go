@@ -112,3 +112,18 @@ func TestNewThresholdPanicsOnBadK(t *testing.T) {
 	}()
 	NewThreshold(0)
 }
+
+// TestThresholdHugeK pins that k is not a reservation: a client-chosen k far
+// above any pair count must neither allocate k slots nor change semantics.
+func TestThresholdHugeK(t *testing.T) {
+	th := NewThreshold(1 << 30)
+	for _, d := range []int32{5, 3, 9} {
+		th.Offer(d)
+	}
+	if got := th.Load(); got != 0 {
+		t.Fatalf("threshold rose to %d with 3 of 2^30 offers", got)
+	}
+	if c := cap(th.heap); c > 1024 {
+		t.Fatalf("heap reserved %d slots up front", c)
+	}
+}

@@ -336,8 +336,8 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var req TenantRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if status, err := decodeJSON(w, r, &req); err != nil {
+			httpError(w, status, err)
 			return
 		}
 		if req.Name == "" {
@@ -396,8 +396,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if status, err := decodeJSON(w, r, &req); err != nil {
+		httpError(w, status, err)
 		return
 	}
 	resp, status, err := s.Query(r, &req)
@@ -441,8 +441,6 @@ func (s *Server) Query(r *http.Request, req *QueryRequest) (*QueryResponse, int,
 		}
 		return nil, http.StatusBadRequest, err
 	}
-	tenant := s.reg.Tenant(req.Tenant, s.cfg.TenantLimit)
-	meter := tenant.QueryMeter(req.M)
 	opts := core.Options{
 		Selector:   sel,
 		M:          req.M,
@@ -453,7 +451,9 @@ func (s *Server) Query(r *http.Request, req *QueryRequest) (*QueryResponse, int,
 		Workers:    orInt(req.Workers, s.cfg.Workers),
 		PairedMode: mode,
 		Warm:       ws.warm,
-		Meter:      meter,
+		// The tenant is resolved at the query's first charge, so a query
+		// refused before it spends neither creates nor charges its tenant.
+		Meter: s.reg.QueryMeter(req.Tenant, s.cfg.TenantLimit, req.M),
 	}
 	ctx := context.Background()
 	if r != nil {
@@ -470,6 +470,7 @@ func (s *Server) Query(r *http.Request, req *QueryRequest) (*QueryResponse, int,
 			return nil, http.StatusBadRequest, err
 		}
 	}
+	tenant := s.reg.Tenant(req.Tenant, s.cfg.TenantLimit)
 	h := s.tenantPhaseNS(tenant.Name())
 	h[0].Observe(res.Phases.Selection)
 	h[1].Observe(res.Phases.Extraction)
@@ -500,6 +501,26 @@ func orInt(v, def int) int {
 		return def
 	}
 	return v
+}
+
+// maxJSONBody caps the /query and /tenants request bodies. Both are small
+// JSON objects, so a larger body is refused with 413 before anything is
+// decoded, created or charged.
+const maxJSONBody = 1 << 20
+
+// decodeJSON reads r's body, capped at maxJSONBody, and decodes it into v.
+// On failure it returns the status to answer: 413 for an oversized body, 400
+// otherwise.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJSONBody))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
+	return http.StatusBadRequest, err
 }
 
 // errorBody is the uniform JSON error envelope.

@@ -10,6 +10,7 @@
 package topk
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -108,11 +109,11 @@ func ComputeSources(p dist.Pair, opts Options) (*GroundTruth, error) {
 		// (the BFS pair routes to sssp's bit-parallel paired kernel — the
 		// all-pairs phase's hot path; Dijkstra runs a session pool).
 		PairedAll: func(srcs []int, workers int, fn func(src int, d1, d2 []int32)) {
-			dist.PairedSweep(p, srcs, workers, fn)
+			_ = dist.PairedSweep(context.Background(), p, srcs, workers, fn)
 		},
 		ExtraDiam2Sources: extra,
 		Dist2All: func(srcs []int, workers int, fn func(src int, d []int32)) {
-			dist.Sweep(s2, srcs, workers, fn)
+			_ = dist.Sweep(context.Background(), s2, srcs, workers, fn)
 		},
 	}, opts)
 }
