@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // ssspPkgPath is the package whose entry points spend the paper's budget
@@ -40,23 +39,13 @@ var budgetExemptPkgs = map[string]bool{
 }
 
 // budgetEntryPoint reports whether a function named name exported by the
-// sssp package costs budget. The sets mirror the paper's accounting: every
-// BFS/Dijkstra variant is one SSSP per source, the multi-source drivers and
-// DistanceMatrix are one per source in the batch.
+// sssp package costs budget. The set mirrors the paper's accounting: every
+// BFS/Dijkstra variant is one SSSP per source, the multi-source sweeps are
+// one per source in the batch (two for PairedSweep).
 func budgetEntryPoint(name string) bool {
-	for _, prefix := range []string{
-		"BFS",            // BFS, BFSWith
-		"MultiSourceBFS", // MultiSourceBFS, MultiSourceBFSWith
-		"Dijkstra",
-		"AllSources",    // AllSourcesFunc, AllSourcesEngineFunc
-		"PairedSources", // PairedSourcesFunc, PairedSourcesEngineFunc
-	} {
-		if strings.HasPrefix(name, prefix) {
-			return true
-		}
-	}
 	switch name {
-	case "DistanceMatrix", "Distances", "WeightedDistances",
+	case "BFS", "BFSWith", "Distances", "Dijkstra", "DijkstraWith",
+		"WeightedDistances", "Sweep", "PairedSweep",
 		// The Δ-threshold bounded second traversal: cut short for machine
 		// work, but it still produces the charged row.
 		"PrunedSecondBFS":

@@ -15,7 +15,7 @@ import (
 //     than their creator's. A literal is launched when a `go` statement
 //     starts it (or passes it to the started call, the pprof.Do idiom), when
 //     it is handed to a spawner — an in-package function that forwards a
-//     func-typed parameter onto a goroutine, like sssp.sweepWorker — or
+//     func-typed parameter onto a goroutine, like dist.fanOut — or
 //     transitively: literals nested in, bound to variables referenced from,
 //     or otherwise reachable from a launched literal run on its goroutine.
 //

@@ -20,7 +20,7 @@ func unmetered(g *graph.Graph, dist []int32) {
 }
 
 func unmeteredMatrix(g *graph.Graph) [][]int32 {
-	return sssp.DistanceMatrix(g, []int{0}, 1) // want `call to sssp.DistanceMatrix without`
+	return dist.DistanceMatrix(dist.NewBFS(g, sssp.Auto), []int{0}, 1) // want `call to dist.DistanceMatrix without`
 }
 
 func metered(g *graph.Graph, m *budget.Meter, dist []int32) error {
@@ -45,8 +45,8 @@ func closureMetered(g *graph.Graph, m *budget.Meter, dist []int32) error {
 		return err
 	}
 	run := func() {
-		sssp.BFSWith(g, 0, dist, sssp.Auto, nil)
-		sssp.MultiSourceBFS(g, []int{0}, dist)
+		sssp.BFSWith(g, 0, dist, sssp.Auto, 0, nil)
+		_ = sssp.Sweep(context.Background(), g, []int{0}, 1, sssp.Auto, 0, func(int, []int32) {})
 	}
 	run()
 	return nil
@@ -57,7 +57,7 @@ func closureMetered(g *graph.Graph, m *budget.Meter, dist []int32) error {
 //convlint:unbudgeted fixture: exact sweep is budget-free by definition
 func suppressed(g *graph.Graph, dist []int32) {
 	sssp.BFS(g, 0, dist)
-	sssp.AllSourcesFunc(g, []int{0}, 1, func(src int, d []int32) {})
+	_ = sssp.Sweep(context.Background(), g, []int{0}, 1, sssp.Auto, 0, func(src int, d []int32) {})
 }
 
 // freeCalls never touch budget-relevant entry points and need nothing.

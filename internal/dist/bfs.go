@@ -26,7 +26,7 @@ func NewBFS(g *graph.Graph, engine sssp.Engine) *BFS {
 // NewBFSPar is NewBFS with an explicit intra-traversal parallelism: every
 // traversal this source runs may split its frontiers across par cores
 // (0 = process default, <= 1 = serial). Orthogonal to the sweep workers
-// knob, which spreads sources; see sssp.AllSourcesParEngineFunc.
+// knob, which spreads sources; see sssp.Sweep.
 func NewBFSPar(g *graph.Graph, engine sssp.Engine, par int) *BFS {
 	return &BFS{g: g, engine: engine, par: par}
 }
@@ -57,7 +57,7 @@ func (s *BFS) NeighborIDs(u int) []int32 { return s.g.Neighbors(u) }
 
 // DistancesInto runs one BFS from src, borrowing pooled scratch.
 func (s *BFS) DistancesInto(src int, dst []int32) {
-	sssp.ParallelBFSWith(s.g, src, dst, s.engine, s.par, nil)
+	sssp.BFSWith(s.g, src, dst, s.engine, s.par, nil)
 }
 
 // NewSession returns a handle owning a private sssp.Scratch.
@@ -69,7 +69,7 @@ func (s *BFS) NewSession() Session {
 // engine resolution picks it), amortizing traversals across sources; once
 // ctx is done no further source or batch starts.
 func (s *BFS) Sweep(ctx context.Context, sources []int, workers int, fn func(src int, dst []int32)) error {
-	return sssp.AllSourcesParEngineCtxFunc(ctx, s.g, sources, workers, s.engine, s.par, fn)
+	return sssp.Sweep(ctx, s.g, sources, workers, s.engine, s.par, fn)
 }
 
 // bfsSession reuses one scratch across queries from a single goroutine.
@@ -79,7 +79,7 @@ type bfsSession struct {
 }
 
 func (s *bfsSession) DistancesInto(src int, dst []int32) {
-	sssp.ParallelBFSWith(s.src.g, src, dst, s.src.engine, s.src.par, s.scratch)
+	sssp.BFSWith(s.src.g, src, dst, s.src.engine, s.src.par, s.scratch)
 }
 
 // asBFS unwraps a Source to its BFS backend (nil when it has none), looking

@@ -142,16 +142,25 @@ func fanOut(ctx context.Context, sources []int, workers int, newWorker func() fu
 // distinct source.
 func DistanceMatrix(s Source, sources []int, workers int) [][]int32 {
 	rows := make([][]int32, len(sources))
+	// Sweep each distinct source once, anchored at its first occurrence.
+	// Sweeping the raw list would make every duplicate's callback store into
+	// the same slot from different workers — a write-write race on the row
+	// header (and wasted sweeps) whenever the source list repeats a node.
 	index := make(map[int]int, len(sources))
+	unique := make([]int, 0, len(sources))
 	for i, src := range sources {
-		index[src] = i
+		if _, ok := index[src]; !ok {
+			index[src] = i
+			unique = append(unique, src)
+		}
 	}
-	_ = Sweep(context.Background(), s, sources, workers, func(src int, dst []int32) {
+	// A background sweep is never cancelled, so Sweep cannot fail.
+	_ = Sweep(context.Background(), s, unique, workers, func(src int, dst []int32) {
 		row := make([]int32, len(dst))
 		copy(row, dst)
 		rows[index[src]] = row
 	})
-	// Duplicate sources all map to one computed row; alias it to the rest.
+	// Duplicate sources alias their first occurrence's row.
 	for i, src := range sources {
 		if rows[i] == nil {
 			rows[i] = rows[index[src]]
@@ -194,7 +203,7 @@ func PairedSweep(ctx context.Context, p Pair, sources []int, workers int, fn fun
 	b1, ok1 := p.S1.(*BFS)
 	b2, ok2 := p.S2.(*BFS)
 	if ok1 && ok2 && b1.engine == b2.engine {
-		return sssp.PairedSourcesParEngineCtxFunc(ctx, b1.g, b2.g, sources, workers, b1.engine, b1.par, fn)
+		return sssp.PairedSweep(ctx, b1.g, b2.g, sources, workers, b1.engine, b1.par, fn)
 	}
 	n := p.NumNodes()
 	return fanOut(ctx, sources, workers, func() func(int) {

@@ -76,7 +76,8 @@ func TestSessionsMatchDirectQueries(t *testing.T) {
 }
 
 // TestSweepAndMatrix checks the batched helpers against direct queries,
-// including duplicate-source aliasing in DistanceMatrix.
+// including duplicate-source aliasing and its one-traversal-per-distinct-
+// source cost in DistanceMatrix.
 func TestSweepAndMatrix(t *testing.T) {
 	g := randomGraph(t, 40, 3)
 	for _, src := range []Source{NewBFS(g, sssp.Auto), NewDijkstra(graph.FromUnweighted(g))} {
@@ -91,6 +92,22 @@ func TestSweepAndMatrix(t *testing.T) {
 			src.DistancesInto(u, want)
 			if !reflect.DeepEqual(rows[i], want) {
 				t.Fatalf("%T: matrix row %d (source %d) differs", src, i, u)
+			}
+		}
+		// Copies of one source cost one traversal, not one per copy, and
+		// never race on the shared row slot (run under -race): seven raw
+		// sources stay below the bit-parallel threshold, so the copies would
+		// otherwise land on different workers.
+		dups := []int{7, 7, 7, 2, 7, 7, 7}
+		src.DistancesInto(7, want)
+		for rep := 0; rep < 20; rep++ {
+			before := sssp.SnapshotMetrics()
+			rows := DistanceMatrix(src, dups, 4)
+			if got := sssp.SnapshotMetrics().Sub(before).Total().Sources; got != 2 {
+				t.Fatalf("%T: matrix over %d copies of 2 sources ran %d traversals, want 2", src, len(dups), got)
+			}
+			if !reflect.DeepEqual(rows[0], want) || &rows[0][0] != &rows[6][0] {
+				t.Fatalf("%T: duplicate rows must alias the first occurrence's row", src)
 			}
 		}
 		// Sweep visits every source exactly once. The callback runs on

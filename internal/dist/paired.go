@@ -121,7 +121,7 @@ type PairedWorker struct {
 // G_t2 and reports whether the t2 work was cut. Costs 2 budget units.
 func (s *PairedWorker) Rows(src int, d1, d2 []int32, bound func() int32) bool {
 	if b := s.e.b1; b != nil {
-		sssp.ParallelBFSWith(b.g, src, d1, b.engine, b.par, s.scratch)
+		sssp.BFSWith(b.g, src, d1, b.engine, b.par, s.scratch)
 	} else {
 		s.s1.DistancesInto(src, d1)
 	}

@@ -1,6 +1,7 @@
 package dynsssp
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -387,7 +388,7 @@ func TestApplyAllOnWideKernelRows(t *testing.T) {
 	s := NewScratch()
 	d2 := make([]int32, n)
 	for _, eng := range []sssp.Engine{sssp.BitParallel256, sssp.BitParallel512} {
-		sssp.AllSourcesParEngineFunc(g1, sources, 1, eng, 2, func(src int, d1 []int32) {
+		sssp.Sweep(context.Background(), g1, sources, 1, eng, 2, func(src int, d1 []int32) {
 			copy(d2, d1)
 			s.ApplyAll(g2, delta, d2)
 			want := sssp.Distances(g2, src)

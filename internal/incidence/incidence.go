@@ -14,12 +14,14 @@
 package incidence
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/betweenness"
 	"repro/internal/candidates"
+	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/sssp"
 	"repro/internal/topk"
@@ -94,7 +96,8 @@ func pairsFrom(pair graph.SnapshotPair, sources []int, minDelta int32, workers i
 	}
 	var mu sync.Mutex
 	var all []topk.Pair
-	sssp.PairedSourcesFunc(pair.G1, pair.G2, sources, workers, func(u int, d1, d2 []int32) {
+	// A background sweep is never cancelled, so PairedSweep cannot fail.
+	_ = dist.PairedSweep(context.Background(), dist.BFSPair(pair, sssp.Auto), sources, workers, func(u int, d1, d2 []int32) {
 		var local []topk.Pair
 		for v := 0; v < n; v++ {
 			if v == u || (inSet[v] && v < u) {

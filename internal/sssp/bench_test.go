@@ -1,6 +1,7 @@
 package sssp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -49,9 +50,9 @@ func BenchmarkDijkstraScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkAllSourcesParallel measures the parallel all-sources driver's
-// scaling with worker count (the ground-truth sweep's engine).
-func BenchmarkAllSourcesParallel(b *testing.B) {
+// BenchmarkSweepParallel measures Sweep's scaling with worker count (the
+// ground-truth sweep's engine).
+func BenchmarkSweepParallel(b *testing.B) {
 	g := benchGraph(5000, 3)
 	sources := make([]int, 200)
 	for i := range sources {
@@ -60,19 +61,9 @@ func BenchmarkAllSourcesParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				AllSourcesFunc(g, sources, workers, func(int, []int32) {})
+				Sweep(context.Background(), g, sources, workers, Auto, 0, func(int, []int32) {})
 			}
 		})
-	}
-}
-
-// BenchmarkMultiSourceBFS measures the dispersion step's primitive.
-func BenchmarkMultiSourceBFS(b *testing.B) {
-	g := benchGraph(10000, 4)
-	dist := make([]int32, 10000)
-	sources := []int{0, 2500, 5000, 7500}
-	for i := 0; i < b.N; i++ {
-		MultiSourceBFS(g, sources, dist)
 	}
 }
 
@@ -89,7 +80,7 @@ func BenchmarkBFSEngines(b *testing.B) {
 			b.Run(fmt.Sprintf("single/%s/n=%d", e, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					BFSWith(g, i%n, dist, e, s)
+					BFSWith(g, i%n, dist, e, 0, s)
 				}
 			})
 		}
@@ -101,7 +92,7 @@ func BenchmarkBFSEngines(b *testing.B) {
 			b.Run(fmt.Sprintf("batch64/%s/n=%d", e, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					AllSourcesEngineFunc(g, sources, 1, e, func(int, []int32) {})
+					Sweep(context.Background(), g, sources, 1, e, 0, func(int, []int32) {})
 				}
 			})
 		}
@@ -109,7 +100,7 @@ func BenchmarkBFSEngines(b *testing.B) {
 }
 
 // BenchmarkAllPairs measures the exact ground-truth sweep's hot path — the
-// paired per-source distance rows streamed by topk via PairedSourcesFunc —
+// paired per-source distance rows streamed by topk via PairedSweep —
 // on a 50k-node snapshot pair, over a 1024-source slice of the full sweep
 // (per-source cost is uniform, so the slice is representative). The
 // topdown row is the scalar baseline; the bitparallel64 row is what Auto
@@ -126,7 +117,7 @@ func BenchmarkAllPairs(b *testing.B) {
 		b.Run(fmt.Sprintf("paired/%s/n=%d/sources=%d", e, n, srcCount), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				PairedSourcesEngineFunc(g1, g2, sources, 0, e, func(int, []int32, []int32) {})
+				PairedSweep(context.Background(), g1, g2, sources, 0, e, 0, func(int, []int32, []int32) {})
 			}
 		})
 	}

@@ -1,21 +1,20 @@
 // Package sssp implements the single-source shortest-path engines the paper
 // treats as its unit of computational cost: breadth-first search for
 // unweighted snapshots, Dijkstra's algorithm for weighted ones, and a
-// parallel all-sources driver used to compute exact ground truth.
+// multi-source sweep driver used to compute exact ground truth.
 //
 // Distances are int32; Unreachable marks node pairs in different connected
 // components. Engines reuse caller-provided buffers so that tight loops
 // (candidate generation, all-pairs sweeps) do not allocate per source.
 //
-// Three interchangeable BFS kernels back the unweighted entry points (see
+// Interchangeable BFS kernels back the unweighted entry points (see
 // Engine): the scalar TopDown baseline, a Beamer-style DirectionOpt hybrid,
-// and a BitParallel64 multi-source batch engine used by the all-sources
-// drivers. All of them produce bit-identical distances.
+// and the BitParallel64/256/512 multi-source batch engines used by Sweep and
+// PairedSweep. All of them produce bit-identical distances.
 package sssp
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/graph"
 )
@@ -30,28 +29,20 @@ const Unreachable int32 = -1
 // within its component. The kernel is chosen by the Auto engine; use
 // BFSWith to pin one or to thread a per-worker Scratch.
 func BFS(g *graph.Graph, src int, dist []int32) (reached int, ecc int32) {
-	return BFSWith(g, src, dist, Auto, nil)
+	return BFSWith(g, src, dist, Auto, 0, nil)
 }
 
-// BFSWith is BFS with an explicit engine and scratch space. A nil scratch
-// borrows one from an internal pool; parallel drivers pass one per worker
-// so the whole sweep allocates nothing per source. Intra-traversal
-// parallelism follows the process default (SetDefaultParallelism); use
-// ParallelBFSWith to pin it per call.
+// BFSWith is BFS with an explicit engine, intra-traversal parallelism and
+// scratch space. par is the number of cores this one traversal may split
+// its frontiers across (0 = the process default, see SetDefaultParallelism;
+// <= 1 = serial). Every (engine, parallelism) combination produces
+// bit-identical results; parallelism changes only wall-clock, never
+// distances, budget, or traversal-work metrics. A nil scratch borrows one
+// from an internal pool; parallel drivers pass one per worker so the whole
+// sweep allocates nothing per source.
 //
 //convlint:hotpath
-func BFSWith(g *graph.Graph, src int, dist []int32, e Engine, s *Scratch) (reached int, ecc int32) {
-	return ParallelBFSWith(g, src, dist, e, 0, s)
-}
-
-// ParallelBFSWith is BFSWith with an explicit intra-traversal parallelism:
-// the number of cores this one traversal may split its frontiers across
-// (0 = the process default, <= 1 = serial). Every (engine, parallelism)
-// combination produces bit-identical results; parallelism changes only
-// wall-clock, never distances, budget, or traversal-work metrics.
-//
-//convlint:hotpath
-func ParallelBFSWith(g *graph.Graph, src int, dist []int32, e Engine, par int, s *Scratch) (reached int, ecc int32) {
+func BFSWith(g *graph.Graph, src int, dist []int32, e Engine, par int, s *Scratch) (reached int, ecc int32) {
 	n := g.NumNodes()
 	if len(dist) != n {
 		panic(fmt.Sprintf("sssp: dist buffer length %d, graph has %d nodes", len(dist), n))
@@ -81,11 +72,7 @@ func ParallelBFSWith(g *graph.Graph, src int, dist []int32, e Engine, par int, s
 		// views keep this path allocation-free like the other engines.
 		s.oneSrc[0] = src
 		s.oneRow[0] = dist
-		if W := eng.wideWords(); W > 1 || k > 1 {
-			msBFSBatchWide(g, s.oneSrc[:], s.oneRow[:], W, k, s)
-		} else {
-			msBFSBatch(g, s.oneSrc[:], s.oneRow[:], s)
-		}
+		batchBFS(g, s.oneSrc[:], s.oneRow[:], eng, k, s)
 		s.oneRow[0] = nil
 		for _, d := range dist {
 			if d >= 0 {
@@ -112,116 +99,6 @@ func Distances(g *graph.Graph, src int) []int32 {
 	dist := make([]int32, g.NumNodes())
 	BFS(g, src, dist)
 	return dist
-}
-
-// MultiSourceBFS computes, for every node, the distance to the nearest of the
-// given sources (the lower envelope of the sources' BFS trees). It is used by
-// dispersion-based selection, where each greedy step needs the minimum
-// distance to the already-selected set. dist must have length g.NumNodes().
-func MultiSourceBFS(g *graph.Graph, sources []int, dist []int32) {
-	MultiSourceBFSWith(g, sources, dist, nil)
-}
-
-// MultiSourceBFSWith is MultiSourceBFS with caller-provided scratch space,
-// for tight loops that seed from a growing set.
-//
-//convlint:hotpath
-func MultiSourceBFSWith(g *graph.Graph, sources []int, dist []int32, s *Scratch) {
-	//convlint:nondet sweep latency is observational, not part of results
-	start := time.Now()
-	n := g.NumNodes()
-	if len(dist) != n {
-		panic(fmt.Sprintf("sssp: dist buffer length %d, graph has %d nodes", len(dist), n))
-	}
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	if s == nil {
-		s = getScratch(n)
-		defer putScratch(s)
-	} else {
-		s.ensure(n)
-	}
-	offsets, neighbors := g.CSR()
-	q := s.queue[:0]
-	for _, src := range sources {
-		if src < 0 || src >= n {
-			panic(fmt.Sprintf("sssp: source %d out of range [0,%d)", src, n))
-		}
-		if dist[src] == Unreachable {
-			dist[src] = 0
-			q = append(q, int32(src))
-		}
-	}
-	// Metrics accumulate in registers; the queue is level-ordered, so runs
-	// of equal distances bound the frontier peak.
-	var edges int64
-	peak, runLen := 0, 0
-	runLevel := int32(0)
-	for head := 0; head < len(q); head++ {
-		u := q[head]
-		du := dist[u]
-		if du != runLevel {
-			if runLen > peak {
-				peak = runLen
-			}
-			runLen, runLevel = 0, du
-		}
-		runLen++
-		edges += int64(offsets[u+1] - offsets[u])
-		for _, v := range neighbors[offsets[u]:offsets[u+1]] {
-			if dist[v] == Unreachable {
-				dist[v] = du + 1
-				q = append(q, v)
-			}
-		}
-	}
-	if runLen > peak {
-		peak = runLen
-	}
-	km := &kernelMetrics[kEnvelope]
-	km.calls.Add(1)
-	km.sources.Add(int64(len(sources)))
-	km.nodes.Add(int64(len(q)))
-	km.edges.Add(edges)
-	peakMax(&km.frontierPeak, int64(peak))
-	observeSweep(kEnvelope, start, int64(len(sources)), int64(len(q)), edges)
-	s.queue = q[:0]
-}
-
-// Eccentricity returns the greatest finite distance from src.
-func Eccentricity(g *graph.Graph, src int) int32 {
-	return EccentricityInto(g, src, make([]int32, g.NumNodes()), nil)
-}
-
-// EccentricityInto is Eccentricity with a caller-provided distance buffer
-// (length g.NumNodes()) and optional scratch, for loops sweeping many
-// sources.
-func EccentricityInto(g *graph.Graph, src int, dist []int32, s *Scratch) int32 {
-	_, ecc := BFSWith(g, src, dist, Auto, s)
-	return ecc
-}
-
-// DoubleSweepLowerBound estimates the diameter of the component containing
-// start with two BFS sweeps: the eccentricity of the farthest node found from
-// start. The result is a lower bound on, and in practice usually equal to,
-// the true diameter; exact diameters come from topk's all-pairs sweep.
-func DoubleSweepLowerBound(g *graph.Graph, start int) int32 {
-	return DoubleSweepLowerBoundInto(g, start, make([]int32, g.NumNodes()), nil)
-}
-
-// DoubleSweepLowerBoundInto is DoubleSweepLowerBound with a caller-provided
-// distance buffer (length g.NumNodes()) and optional scratch.
-func DoubleSweepLowerBoundInto(g *graph.Graph, start int, dist []int32, s *Scratch) int32 {
-	BFSWith(g, start, dist, Auto, s)
-	far, farDist := start, int32(0)
-	for v, d := range dist {
-		if d > farDist {
-			far, farDist = v, d
-		}
-	}
-	_, ecc := BFSWith(g, far, dist, Auto, s)
-	return ecc
 }
 
 // Path returns one shortest path from src to dst as a node sequence

@@ -34,7 +34,7 @@ const (
 	DirectionOpt
 	// BitParallel64 batches up to 64 sources into one sweep, tracking
 	// per-node visit sets as machine words (an MS-BFS). Only the
-	// multi-source drivers exploit the batching; for a single source it
+	// multi-source sweeps exploit the batching; for a single source it
 	// degenerates to a one-bit sweep and is selectable mainly for testing.
 	BitParallel64
 	// BitParallel256 is the 4-word MS-BFS: 256 sources per batch, four visit
@@ -177,7 +177,7 @@ func resolvePar(par int) int {
 const msBatchBits = 64
 
 // msAutoThreshold is the minimum source count for which Auto prefers the
-// bit-parallel batch engine in the multi-source drivers; below it the
+// bit-parallel batch engine in the multi-source sweeps; below it the
 // per-batch setup (three words per node) isn't worth amortizing.
 const msAutoThreshold = 8
 
@@ -193,10 +193,9 @@ func resolveSingle(e Engine) Engine {
 }
 
 // resolveBatch maps an engine request to the kernel used by a multi-source
-// driver over nsources sources. Auto stays on the 64-lane batch kernel: the
+// sweep over nsources sources. Auto stays on the 64-lane batch kernel: the
 // wide kernels are explicit opt-ins because their per-worker row blocks are
-// Lanes()*n ints (see AllSourcesParEngineFunc for the core split that keeps
-// that affordable).
+// Lanes()*n ints (see Sweep for the core split that keeps that affordable).
 func resolveBatch(e Engine, nsources int) Engine {
 	if e == Auto {
 		e = DefaultEngine()
@@ -265,7 +264,7 @@ type Scratch struct {
 	// pool; it embeds the per-worker next-queues and counters.
 	par parRun
 
-	// rows is the batch drivers' distance-row block: up to rowsLanes rows of
+	// rows is the sweep driver's distance-row block: up to rowsLanes rows of
 	// length rowsN, all views into the grow-only rowsBacking array (see
 	// ensureRows).
 	rows        [][]int32
@@ -359,9 +358,9 @@ func (s *Scratch) ensurePar(n, k int) {
 // ever grow: eval suites alternating between graph sizes or lane widths
 // re-point the row headers without reallocating, so a warmed Scratch serves
 // any (n, lanes) it has ever seen allocation-free (pinned by
-// TestEnsureRowsGrowOnly). Only the batch drivers call this; single-source
-// bit-parallel calls write into the caller's dist buffer and never pay for
-// the row block.
+// TestEnsureRowsGrowOnly). Only the sweep driver calls this; single-source
+// BFSWith calls write into the caller's dist buffer and never pay for the
+// row block.
 func (s *Scratch) ensureRows(n, lanes int) [][]int32 {
 	if s.rowsN == n && lanes <= s.rowsLanes {
 		return s.rows[:lanes]

@@ -1,6 +1,7 @@
 package sssp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -86,7 +87,7 @@ func assertEngineMatch(t *testing.T, g *graph.Graph, src int, label string) {
 	for _, e := range engineList() {
 		for _, par := range []int{1, 4} {
 			for _, s := range []*Scratch{nil, scratch} {
-				reached, ecc := ParallelBFSWith(g, src, dist, e, par, s)
+				reached, ecc := BFSWith(g, src, dist, e, par, s)
 				if reached != wantReached || ecc != wantEcc {
 					t.Fatalf("%s: engine %v par %d src %d: (reached, ecc) = (%d, %d), want (%d, %d)",
 						label, e, par, src, reached, ecc, wantReached, wantEcc)
@@ -150,12 +151,12 @@ func TestDriversDifferential(t *testing.T) {
 
 	for _, e := range []Engine{TopDown, DirectionOpt, BitParallel64, BitParallel256, BitParallel512, Auto} {
 		calls := map[int]int{}
-		AllSourcesEngineFunc(g, sources, 1, e, func(src int, dist []int32) {
+		Sweep(context.Background(), g, sources, 1, e, 0, func(src int, dist []int32) {
 			calls[src]++
 			want, _, _ := referenceBFS(g, src)
 			for v := range dist {
 				if dist[v] != want[v] {
-					t.Fatalf("engine %v: AllSources src %d dist[%d] = %d, want %d", e, src, v, dist[v], want[v])
+					t.Fatalf("engine %v: Sweep src %d dist[%d] = %d, want %d", e, src, v, dist[v], want[v])
 				}
 			}
 		})
@@ -170,39 +171,16 @@ func TestDriversDifferential(t *testing.T) {
 
 	g2 := prefAttach(150, 3, 10, rng)
 	for _, e := range []Engine{TopDown, BitParallel64, BitParallel512} {
-		PairedSourcesEngineFunc(g, g2, sources, 1, e, func(src int, d1, d2 []int32) {
+		PairedSweep(context.Background(), g, g2, sources, 1, e, 0, func(src int, d1, d2 []int32) {
 			w1, _, _ := referenceBFS(g, src)
 			w2, _, _ := referenceBFS(g2, src)
 			for v := range d1 {
 				if d1[v] != w1[v] || d2[v] != w2[v] {
-					t.Fatalf("engine %v: Paired src %d node %d: (%d,%d), want (%d,%d)",
+					t.Fatalf("engine %v: PairedSweep src %d node %d: (%d,%d), want (%d,%d)",
 						e, src, v, d1[v], d2[v], w1[v], w2[v])
 				}
 			}
 		})
-	}
-}
-
-// TestMultiSourceEnvelope asserts MultiSourceBFS equals the pointwise
-// minimum of the per-source BFS trees.
-func TestMultiSourceEnvelope(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	g := erdosRenyi(90, 0.04, rng)
-	n := g.NumNodes()
-	sources := []int{0, 17, 55, 55, 83}
-	dist := make([]int32, n)
-	MultiSourceBFSWith(g, sources, dist, NewScratch(n))
-	for v := 0; v < n; v++ {
-		want := Unreachable
-		for _, s := range sources {
-			d, _, _ := referenceBFS(g, s)
-			if d[v] != Unreachable && (want == Unreachable || d[v] < want) {
-				want = d[v]
-			}
-		}
-		if dist[v] != want {
-			t.Fatalf("envelope at %d: %d, want %d", v, dist[v], want)
-		}
 	}
 }
 
@@ -226,7 +204,7 @@ func FuzzEngines(f *testing.F) {
 		want, wantReached, wantEcc := referenceBFS(g, src)
 		dist := make([]int32, n)
 		for _, e := range engineList() {
-			reached, ecc := BFSWith(g, src, dist, e, nil)
+			reached, ecc := BFSWith(g, src, dist, e, 0, nil)
 			if reached != wantReached || ecc != wantEcc {
 				t.Fatalf("engine %v: (reached, ecc) = (%d, %d), want (%d, %d)", e, reached, ecc, wantReached, wantEcc)
 			}

@@ -28,7 +28,6 @@ const (
 	kBitParallel
 	kBitParallel256 // 4-word wide MS-BFS (256 lanes)
 	kBitParallel512 // 8-word wide MS-BFS (512 lanes)
-	kEnvelope       // MultiSourceBFS lower-envelope sweep
 	kDijkstra
 	kRepair    // dynsssp decrease-only batch repair (incremental paired sweep)
 	kPrunedBFS // Δ-threshold bounded second-snapshot BFS (pruned extraction)
@@ -191,8 +190,7 @@ type MetricsSnapshot struct {
 	BitParallel64  KernelCounters
 	BitParallel256 KernelCounters
 	BitParallel512 KernelCounters
-	Envelope       KernelCounters
-	Dijkstra      KernelCounters
+	Dijkstra       KernelCounters
 	// Repair counts the dynsssp batch-repair kernel: the decrease-only wave
 	// that derives a t2 distance vector from the t1 vector plus the snapshot
 	// edge delta. Nodes/Edges here are traversal the incremental paired
@@ -266,7 +264,6 @@ func SnapshotMetrics() MetricsSnapshot {
 		BitParallel64:  read(kBitParallel),
 		BitParallel256: read(kBitParallel256),
 		BitParallel512: read(kBitParallel512),
-		Envelope:       read(kEnvelope),
 		Dijkstra:       read(kDijkstra),
 		Repair:         read(kRepair),
 		PrunedBFS:      read(kPrunedBFS),
@@ -282,7 +279,6 @@ func (s MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
 		BitParallel64:  s.BitParallel64.sub(prev.BitParallel64),
 		BitParallel256: s.BitParallel256.sub(prev.BitParallel256),
 		BitParallel512: s.BitParallel512.sub(prev.BitParallel512),
-		Envelope:       s.Envelope.sub(prev.Envelope),
 		Dijkstra:       s.Dijkstra.sub(prev.Dijkstra),
 		Repair:         s.Repair.sub(prev.Repair),
 		PrunedBFS:      s.PrunedBFS.sub(prev.PrunedBFS),
@@ -292,7 +288,7 @@ func (s MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
 // Total sums the kernels (FrontierPeak takes the max across kernels).
 func (s MetricsSnapshot) Total() KernelCounters {
 	return s.TopDown.add(s.DirectionOpt).add(s.BitParallel64).add(s.BitParallel256).
-		add(s.BitParallel512).add(s.Envelope).add(s.Dijkstra).add(s.Repair).
+		add(s.BitParallel512).add(s.Dijkstra).add(s.Repair).
 		add(s.PrunedBFS)
 }
 
@@ -353,7 +349,6 @@ func init() {
 		kBitParallel:    "bitparallel64",
 		kBitParallel256: "bitparallel256",
 		kBitParallel512: "bitparallel512",
-		kEnvelope:       "envelope",
 		kDijkstra:       "dijkstra",
 		kRepair:         "repair",
 		kPrunedBFS:      "prunedbfs",

@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestKernelMetricsTopDown(t *testing.T) {
 	g := path5(t)
 	dist := make([]int32, 5)
 	before := SnapshotMetrics()
-	BFSWith(g, 0, dist, TopDown, nil)
+	BFSWith(g, 0, dist, TopDown, 0, nil)
 	d := SnapshotMetrics().Sub(before)
 	if d.TopDown.Calls != 1 || d.TopDown.Sources != 1 {
 		t.Fatalf("topdown calls/sources = %d/%d, want 1/1", d.TopDown.Calls, d.TopDown.Sources)
@@ -42,8 +43,8 @@ func TestKernelMetricsAttributePerEngine(t *testing.T) {
 	g := path5(t)
 	dist := make([]int32, 5)
 	before := SnapshotMetrics()
-	BFSWith(g, 0, dist, DirectionOpt, nil)
-	BFSWith(g, 0, dist, BitParallel64, nil)
+	BFSWith(g, 0, dist, DirectionOpt, 0, nil)
+	BFSWith(g, 0, dist, BitParallel64, 0, nil)
 	d := SnapshotMetrics().Sub(before)
 	if d.DirectionOpt.Calls != 1 {
 		t.Errorf("diropt calls = %d, want 1", d.DirectionOpt.Calls)
@@ -72,7 +73,7 @@ func TestDirectionOptSwitchCounter(t *testing.T) {
 	g := graph.FromEdges(n, edges)
 	dist := make([]int32, n)
 	before := SnapshotMetrics()
-	BFSWith(g, 0, dist, DirectionOpt, nil)
+	BFSWith(g, 0, dist, DirectionOpt, 0, nil)
 	d := SnapshotMetrics().Sub(before)
 	if d.DirectionOpt.Switches < 1 {
 		t.Fatalf("diropt switches = %d, want >= 1 on a star from its center", d.DirectionOpt.Switches)
@@ -89,7 +90,7 @@ func TestBatchFillMetric(t *testing.T) {
 	g := path5(t)
 	sources := []int{0, 1, 2}
 	before := SnapshotMetrics()
-	AllSourcesEngineFunc(g, sources, 1, BitParallel64, func(src int, dist []int32) {})
+	Sweep(context.Background(), g, sources, 1, BitParallel64, 0, func(src int, dist []int32) {})
 	d := SnapshotMetrics().Sub(before)
 	if d.BitParallel64.Calls != 1 || d.BitParallel64.Sources != 3 {
 		t.Fatalf("batch calls/sources = %d/%d, want 1/3", d.BitParallel64.Calls, d.BitParallel64.Sources)
@@ -101,20 +102,6 @@ func TestBatchFillMetric(t *testing.T) {
 	// Every (source, node) pair on a connected graph is one visit.
 	if d.BitParallel64.Nodes != 15 {
 		t.Fatalf("batch visits = %d, want 15", d.BitParallel64.Nodes)
-	}
-}
-
-func TestEnvelopeMetrics(t *testing.T) {
-	g := path5(t)
-	dist := make([]int32, 5)
-	before := SnapshotMetrics()
-	MultiSourceBFS(g, []int{0, 4}, dist)
-	d := SnapshotMetrics().Sub(before)
-	if d.Envelope.Calls != 1 || d.Envelope.Sources != 2 {
-		t.Fatalf("envelope calls/sources = %d/%d, want 1/2", d.Envelope.Calls, d.Envelope.Sources)
-	}
-	if d.Envelope.Nodes != 5 {
-		t.Fatalf("envelope nodes = %d, want 5", d.Envelope.Nodes)
 	}
 }
 
@@ -139,7 +126,7 @@ func TestDijkstraMetrics(t *testing.T) {
 func TestMetricsExposedThroughObs(t *testing.T) {
 	g := path5(t)
 	dist := make([]int32, 5)
-	BFSWith(g, 0, dist, TopDown, nil)
+	BFSWith(g, 0, dist, TopDown, 0, nil)
 	var buf bytes.Buffer
 	if err := obs.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
@@ -147,11 +134,15 @@ func TestMetricsExposedThroughObs(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"sssp.topdown.calls", "sssp.diropt.switches", "sssp.bitparallel64.sources",
-		"sssp.envelope.edges_scanned", "sssp.dijkstra.calls",
+		"sssp.bitparallel256.edges_scanned", "sssp.dijkstra.calls",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("obs exposition missing %q", want)
 		}
+	}
+	// The lower-envelope kernel and its metric family are gone.
+	if strings.Contains(out, "sssp.envelope.") {
+		t.Error("obs exposition still carries the removed sssp.envelope.* family")
 	}
 }
 
@@ -162,8 +153,8 @@ func TestSweepHistogramsObservePerKernel(t *testing.T) {
 	before := h.sweepNS.Snapshot()
 	nodesBefore := h.nodesPerSource.Snapshot()
 	edgesBefore := h.edgesPerSource.Snapshot()
-	BFSWith(g, 0, dist, TopDown, nil)
-	BFSWith(g, 4, dist, TopDown, nil)
+	BFSWith(g, 0, dist, TopDown, 0, nil)
+	BFSWith(g, 4, dist, TopDown, 0, nil)
 	if d := h.sweepNS.Snapshot().Sub(before); d.Count != 2 {
 		t.Errorf("sweep_ns delta count = %d, want 2", d.Count)
 	}
@@ -179,7 +170,7 @@ func TestSweepHistogramsObservePerKernel(t *testing.T) {
 func TestSweepHistogramsExposed(t *testing.T) {
 	g := path5(t)
 	dist := make([]int32, 5)
-	BFSWith(g, 0, dist, TopDown, nil)
+	BFSWith(g, 0, dist, TopDown, 0, nil)
 	var buf bytes.Buffer
 	if err := obs.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)

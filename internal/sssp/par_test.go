@@ -1,7 +1,11 @@
 package sssp
 
 import (
+	"bytes"
+	"context"
 	"math/rand"
+	"runtime/pprof"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -53,7 +57,7 @@ func TestParallelEnginesDifferential(t *testing.T) {
 		for _, par := range []int{2, 3, 8} {
 			for _, src := range srcs {
 				want := oracle.row(src)
-				reached, ecc := ParallelBFSWith(g, src, dist, e, par, s)
+				reached, ecc := BFSWith(g, src, dist, e, par, s)
 				wantReached, wantEcc := 0, int32(0)
 				for _, d := range want {
 					if d >= 0 {
@@ -101,7 +105,7 @@ func TestWideDriversDifferential(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			var calls atomic.Int64
 			var failed atomic.Bool
-			AllSourcesParEngineFunc(g, sources, 2, e, par, func(src int, dist []int32) {
+			Sweep(context.Background(), g, sources, 2, e, par, func(src int, dist []int32) {
 				calls.Add(1)
 				want := oracle.rows[src]
 				for v := range dist {
@@ -118,6 +122,32 @@ func TestWideDriversDifferential(t *testing.T) {
 				t.Fatalf("engine %v par %d: fn called %d times for %d sources", e, par, calls.Load(), len(sources))
 			}
 		}
+	}
+}
+
+// TestSweepWorkersLabelKernel checks that sweep workers carry the resolved
+// engine's name as their pprof kernel label, so a profile of a wide sweep
+// attributes its time to the wide kernel.
+func TestSweepWorkersLabelKernel(t *testing.T) {
+	g := bigParGraph(t, 600, 71)
+	sources := make([]int, 512) // two 256-lane batches, one per worker
+	for i := range sources {
+		sources[i] = i % g.NumNodes()
+	}
+	var once sync.Once
+	var profile bytes.Buffer
+	err := Sweep(context.Background(), g, sources, 2, BitParallel256, 1, func(int, []int32) {
+		once.Do(func() {
+			if err := pprof.Lookup("goroutine").WriteTo(&profile, 1); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(profile.Bytes(), []byte(`"kernel":"bitparallel256"`)) {
+		t.Fatalf("no sweep worker labeled kernel=bitparallel256 in the goroutine profile:\n%s", profile.String())
 	}
 }
 
@@ -139,7 +169,7 @@ func TestPairedWideDriver(t *testing.T) {
 		o2.row(src)
 	}
 	var failed atomic.Bool
-	PairedSourcesParEngineFunc(g1, g2, sources, 2, BitParallel256, 2, func(src int, d1, d2 []int32) {
+	PairedSweep(context.Background(), g1, g2, sources, 2, BitParallel256, 2, func(src int, d1, d2 []int32) {
 		w1, w2 := o1.rows[src], o2.rows[src]
 		for v := range d1 {
 			if d1[v] != w1[v] || d2[v] != w2[v] {
@@ -272,10 +302,10 @@ func TestParallelBFSZeroAllocs(t *testing.T) {
 	for _, e := range []Engine{TopDown, DirectionOpt} {
 		t.Run(e.String(), func(t *testing.T) {
 			s := NewScratch(n)
-			ParallelBFSWith(g, 0, dist, e, 4, s) // warm pool, vis bitmap, worker queues
+			BFSWith(g, 0, dist, e, 4, s) // warm pool, vis bitmap, worker queues
 			src := 0
 			allocs := testing.AllocsPerRun(30, func() {
-				ParallelBFSWith(g, src%n, dist, e, 4, s)
+				BFSWith(g, src%n, dist, e, 4, s)
 				src++
 			})
 			if allocs != 0 {
@@ -316,7 +346,7 @@ func TestCoresUsedMetric(t *testing.T) {
 	g := bigParGraph(t, 4000, 61)
 	n := g.NumNodes()
 	dist := make([]int32, n)
-	ParallelBFSWith(g, 0, dist, TopDown, 4, NewScratch(n))
+	BFSWith(g, 0, dist, TopDown, 4, NewScratch(n))
 	after := SnapshotMetrics()
 	if after.TopDown.CoresUsed < 2 {
 		t.Fatalf("parallel TopDown reported cores_used = %d, want > 1", after.TopDown.CoresUsed)
@@ -327,7 +357,7 @@ func TestCoresUsedMetric(t *testing.T) {
 	for i := range sources {
 		sources[i] = (i * 11) % n
 	}
-	AllSourcesParEngineFunc(g, sources, 1, BitParallel256, 4, func(int, []int32) {})
+	Sweep(context.Background(), g, sources, 1, BitParallel256, 4, func(int, []int32) {})
 	snap := SnapshotMetrics()
 	if snap.BitParallel256.LaneWidth != 256 {
 		t.Fatalf("BitParallel256 lane width = %d, want 256", snap.BitParallel256.LaneWidth)

@@ -1,6 +1,7 @@
 package sssp
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -21,7 +22,7 @@ func BenchmarkParallelBFS(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/par=%d/n=%d", e, par, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ParallelBFSWith(g, i%n, dist, e, par, s)
+					BFSWith(g, i%n, dist, e, par, s)
 				}
 			})
 		}
@@ -47,7 +48,7 @@ func BenchmarkWideSweep(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/par=%d/n=%d/sources=%d", e, par, n, srcCount), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					AllSourcesParEngineFunc(g, sources, 1, e, par, func(int, []int32) {})
+					Sweep(context.Background(), g, sources, 1, e, par, func(int, []int32) {})
 				}
 			})
 		}
@@ -113,7 +114,7 @@ func BenchmarkParallelPairedSweep(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers=%d/par=%d", e, c.workers, c.par), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					PairedSourcesParEngineFunc(g1, g2, sources, c.workers, e, c.par, func(int, []int32, []int32) {})
+					PairedSweep(context.Background(), g1, g2, sources, c.workers, e, c.par, func(int, []int32, []int32) {})
 				}
 			})
 		}

@@ -31,7 +31,7 @@ func TestParPoolDrainRespawn(t *testing.T) {
 				s := NewScratch(n)
 				dist := make([]int32, n)
 				for _, src := range srcs {
-					ParallelBFSWith(g, src, dist, TopDown, 4, s)
+					BFSWith(g, src, dist, TopDown, 4, s)
 					want := oracle.rows[src]
 					for v := range dist {
 						if dist[v] != want[v] {
@@ -56,7 +56,7 @@ func TestParPoolDrainRespawn(t *testing.T) {
 	// A post-drain traversal must transparently respawn the pool.
 	s := NewScratch(n)
 	dist := make([]int32, n)
-	ParallelBFSWith(g, srcs[0], dist, DirectionOpt, 4, s)
+	BFSWith(g, srcs[0], dist, DirectionOpt, 4, s)
 	want := oracle.rows[srcs[0]]
 	for v := range dist {
 		if dist[v] != want[v] {

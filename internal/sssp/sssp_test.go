@@ -1,6 +1,7 @@
 package sssp
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -72,28 +73,6 @@ func assertPanics(t *testing.T, name string, fn func()) {
 		}
 	}()
 	fn()
-}
-
-func TestMultiSourceBFS(t *testing.T) {
-	g := pathGraph(7)
-	dist := make([]int32, 7)
-	MultiSourceBFS(g, []int{0, 6}, dist)
-	want := []int32{0, 1, 2, 3, 2, 1, 0}
-	if !reflect.DeepEqual(dist, want) {
-		t.Fatalf("dist = %v, want %v", dist, want)
-	}
-	// Duplicate sources are harmless.
-	MultiSourceBFS(g, []int{3, 3}, dist)
-	if dist[0] != 3 || dist[6] != 3 {
-		t.Fatalf("dist = %v after duplicate-source BFS", dist)
-	}
-	// No sources: everything unreachable.
-	MultiSourceBFS(g, nil, dist)
-	for v, d := range dist {
-		if d != Unreachable {
-			t.Fatalf("dist[%d] = %d with no sources", v, d)
-		}
-	}
 }
 
 // Property: BFS distances satisfy the edge relaxation condition
@@ -209,6 +188,8 @@ func TestWeightedDuplicateKeepsMinimum(t *testing.T) {
 	}
 }
 
+// TestAllSourcesFuncMatchesSequential checks a four-worker Auto Sweep
+// against one BFS per source.
 func TestAllSourcesFuncMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomGraph(rng, 200, 500)
@@ -220,7 +201,7 @@ func TestAllSourcesFuncMatchesSequential(t *testing.T) {
 	}
 	var mu sync.Mutex
 	got := make(map[int][]int32)
-	AllSourcesFunc(g, sources, 4, func(src int, dist []int32) {
+	Sweep(context.Background(), g, sources, 4, Auto, 0, func(src int, dist []int32) {
 		row := make([]int32, len(dist))
 		copy(row, dist)
 		mu.Lock()
@@ -228,10 +209,12 @@ func TestAllSourcesFuncMatchesSequential(t *testing.T) {
 		mu.Unlock()
 	})
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("parallel AllSourcesFunc disagrees with sequential BFS")
+		t.Fatal("parallel Sweep disagrees with sequential BFS")
 	}
 }
 
+// TestPairedSourcesFunc checks PairedSweep's row pairs on a path graph and
+// its shortcut-extended successor.
 func TestPairedSourcesFunc(t *testing.T) {
 	g1 := pathGraph(6)
 	b := graph.NewBuilder(6)
@@ -243,7 +226,7 @@ func TestPairedSourcesFunc(t *testing.T) {
 
 	var mu sync.Mutex
 	deltas := map[int]int32{}
-	PairedSourcesFunc(g1, g2, []int{0, 3}, 2, func(src int, d1, d2 []int32) {
+	PairedSweep(context.Background(), g1, g2, []int{0, 3}, 2, Auto, 0, func(src int, d1, d2 []int32) {
 		var maxDelta int32
 		for v := range d1 {
 			if d1[v] != Unreachable && d2[v] != Unreachable && d1[v]-d2[v] > maxDelta {
@@ -264,30 +247,32 @@ func TestPairedSourcesFunc(t *testing.T) {
 	}
 }
 
+// TestDistanceMatrix materializes a distance matrix from a two-worker Sweep
+// and checks its rows, including that a duplicated source gets its own
+// identical row.
 func TestDistanceMatrix(t *testing.T) {
 	g := pathGraph(4)
-	rows := DistanceMatrix(g, []int{0, 3, 0}, 2)
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
+	var mu sync.Mutex
+	rows := map[int][][]int32{}
+	err := Sweep(context.Background(), g, []int{0, 3, 0}, 2, Auto, 0, func(src int, dist []int32) {
+		mu.Lock()
+		rows[src] = append(rows[src], append([]int32(nil), dist...))
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rows[0], []int32{0, 1, 2, 3}) {
-		t.Errorf("row 0 = %v", rows[0])
+	if len(rows[0]) != 2 || len(rows[3]) != 1 {
+		t.Fatalf("rows per source = %d, %d, want 2, 1", len(rows[0]), len(rows[3]))
 	}
-	if !reflect.DeepEqual(rows[1], []int32{3, 2, 1, 0}) {
-		t.Errorf("row 1 = %v", rows[1])
+	if !reflect.DeepEqual(rows[0][0], []int32{0, 1, 2, 3}) {
+		t.Errorf("row 0 = %v", rows[0][0])
 	}
-	if !reflect.DeepEqual(rows[2], rows[0]) {
-		t.Errorf("duplicate source row = %v, want same as row 0", rows[2])
+	if !reflect.DeepEqual(rows[3][0], []int32{3, 2, 1, 0}) {
+		t.Errorf("row 3 = %v", rows[3][0])
 	}
-}
-
-func TestDoubleSweepLowerBound(t *testing.T) {
-	g := pathGraph(9)
-	if got := DoubleSweepLowerBound(g, 4); got != 8 {
-		t.Fatalf("double sweep = %d, want 8", got)
-	}
-	if got := Eccentricity(g, 4); got != 4 {
-		t.Fatalf("eccentricity(4) = %d, want 4", got)
+	if !reflect.DeepEqual(rows[0][1], rows[0][0]) {
+		t.Errorf("duplicate source row = %v, want same as row 0", rows[0][1])
 	}
 }
 
@@ -295,7 +280,7 @@ func TestAllSourcesSequentialPath(t *testing.T) {
 	// workers=1 and single-source inputs exercise the sequential fast path.
 	g := pathGraph(20)
 	var visited []int
-	AllSourcesFunc(g, []int{3, 7}, 1, func(src int, dist []int32) {
+	Sweep(context.Background(), g, []int{3, 7}, 1, Auto, 0, func(src int, dist []int32) {
 		visited = append(visited, src)
 		if dist[src] != 0 {
 			t.Errorf("dist[src] = %d", dist[src])
@@ -305,11 +290,11 @@ func TestAllSourcesSequentialPath(t *testing.T) {
 		t.Fatalf("visited = %v (sequential path must preserve order)", visited)
 	}
 	// Empty sources: no calls, no panic.
-	AllSourcesFunc(g, nil, 4, func(int, []int32) { t.Fatal("unexpected call") })
-	PairedSourcesFunc(g, g, nil, 4, func(int, []int32, []int32) { t.Fatal("unexpected call") })
+	Sweep(context.Background(), g, nil, 4, Auto, 0, func(int, []int32) { t.Fatal("unexpected call") })
+	PairedSweep(context.Background(), g, g, nil, 4, Auto, 0, func(int, []int32, []int32) { t.Fatal("unexpected call") })
 	// Sequential paired path.
 	calls := 0
-	PairedSourcesFunc(g, g, []int{0}, 1, func(src int, d1, d2 []int32) {
+	PairedSweep(context.Background(), g, g, []int{0}, 1, Auto, 0, func(src int, d1, d2 []int32) {
 		calls++
 		for v := range d1 {
 			if d1[v] != d2[v] {
