@@ -50,7 +50,7 @@ func main() {
 	dotOut := flag.String("dot", "", "write a GraphViz DOT rendering of G_t2 with the found pairs highlighted")
 	jsonOut := flag.String("json", "", "write the run result as a JSON report")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "across-source BFS parallelism (concurrent traversals)")
-	par := flag.Int("par", 1, "intra-traversal parallelism: cores one BFS may split its frontiers across; results and budget are identical at every setting")
+	par := flag.Int("par", 1, "intra-traversal parallelism: cores one scalar (topdown/diropt) BFS may split its frontiers across; results and budget are identical at every setting")
 	engine := flag.String("engine", "auto", "BFS kernel: "+strings.Join(sssp.EngineNames(), "|"))
 	paired := flag.String("paired", "full", "extraction paired mode: full (re-traverse G_t2) | incremental (derive G_t2 rows from the edge delta); same results and budget either way")
 	pruneOn := flag.Bool("prune", true, "Δ-threshold pruned extraction for -k runs (bit-identical output, less traversal); -prune=false forces full traversals")
@@ -63,7 +63,6 @@ func main() {
 		fatal(err)
 	}
 	sssp.SetDefaultEngine(eng)
-	sssp.SetDefaultParallelism(*par)
 	pairedMode, err := convergence.ParsePairedMode(*paired)
 	if err != nil {
 		fatal(err)

@@ -72,7 +72,7 @@ func main() {
 	maxSessions := flag.Int("maxsessions", 0, "cached per-window query sessions (0 = default)")
 	tenantLimit := flag.Int("tenantlimit", 0, "SSSP allowance for tenants auto-created by their first query (0 = unlimited)")
 	workers := flag.Int("workers", 0, "across-source BFS parallelism per query (0 = all cores)")
-	par := flag.Int("par", 1, "intra-traversal parallelism: cores one BFS may split its frontiers across")
+	par := flag.Int("par", 1, "intra-traversal parallelism: cores one scalar (topdown/diropt) BFS may split its frontiers across")
 	engine := flag.String("engine", "auto", "BFS kernel: "+strings.Join(sssp.EngineNames(), "|"))
 	var tenants tenantFlags
 	flag.Var(&tenants, "tenant", "declare a tenant as name=limit (repeatable; limit <= 0 = unlimited)")

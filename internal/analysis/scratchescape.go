@@ -8,7 +8,7 @@ import (
 // scratchTypes are the per-worker traversal scratch types. Ownership rule:
 // one worker, one scratch. A scratch that leaks to another goroutine aliases
 // every buffer the kernels assume they own exclusively (visited bitmaps,
-// frontier queues, wide-lane words).
+// frontier queues, MS-BFS visit words).
 var scratchTypes = []struct{ pkgPath, name string }{
 	{"repro/internal/sssp", "Scratch"},
 	{"repro/internal/sssp", "DijkstraScratch"},

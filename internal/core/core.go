@@ -49,10 +49,10 @@ type Options struct {
 	// Workers bounds SSSP parallelism; <=0 means GOMAXPROCS.
 	Workers int
 	// Parallelism bounds intra-traversal parallelism: how many cores one
-	// BFS may split its frontiers across (sssp's parallel level-synchronous
-	// kernels). 0 follows the process default, <=1 runs each traversal
-	// serial. Orthogonal to Workers, which spreads sources; total
-	// concurrency is roughly their product. Results, budget charges, and
+	// scalar BFS may split its frontiers across (sssp's parallel
+	// level-synchronous kernels). <=1 runs each traversal serial.
+	// Orthogonal to Workers, which spreads sources; total concurrency is
+	// roughly their product. Results, budget charges, and
 	// traversal-work metrics are identical at every setting — only
 	// wall-clock changes.
 	Parallelism int

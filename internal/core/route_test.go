@@ -41,7 +41,6 @@ func workSignature(k sssp.MetricsSnapshot, p sssp.PrunedWork) string {
 		c    sssp.KernelCounters
 	}{
 		{"td", k.TopDown}, {"do", k.DirectionOpt}, {"bp64", k.BitParallel64},
-		{"bp256", k.BitParallel256}, {"bp512", k.BitParallel512},
 		{"dij", k.Dijkstra}, {"repair", k.Repair}, {"pruned", k.PrunedBFS},
 	} {
 		if kc.c.Calls != 0 {

@@ -17,16 +17,17 @@ type BFS struct {
 }
 
 // NewBFS wraps g as a distance source computing distances with the given
-// BFS kernel (sssp.Auto for automatic selection). Intra-traversal
-// parallelism follows the process default; use NewBFSPar to pin it.
+// BFS kernel (sssp.Auto for automatic selection). Each traversal runs
+// serially; use NewBFSPar to split scalar traversals across cores.
 func NewBFS(g *graph.Graph, engine sssp.Engine) *BFS {
 	return NewBFSPar(g, engine, 0)
 }
 
 // NewBFSPar is NewBFS with an explicit intra-traversal parallelism: every
-// traversal this source runs may split its frontiers across par cores
-// (0 = process default, <= 1 = serial). Orthogonal to the sweep workers
-// knob, which spreads sources; see sssp.Sweep.
+// scalar traversal this source runs may split its frontiers across par
+// cores (<= 1 = serial; bit-parallel batches always run serially).
+// Orthogonal to the sweep workers knob, which spreads sources; see
+// sssp.Sweep.
 func NewBFSPar(g *graph.Graph, engine sssp.Engine, par int) *BFS {
 	return &BFS{g: g, engine: engine, par: par}
 }

@@ -221,7 +221,7 @@ func TestPairedIncrementalMatchesFull(t *testing.T) {
 		}
 	}
 	for _, eng := range []sssp.Engine{sssp.Auto, sssp.TopDown, sssp.DirectionOpt,
-		sssp.BitParallel64, sssp.BitParallel256, sssp.BitParallel512} {
+		sssp.BitParallel64} {
 		// par=2 exercises the intra-traversal parallel kernels end to end;
 		// results must be bit-identical to serial (pinned in sssp's fuzz).
 		check(eng.String(), BFSPairPar(graph.SnapshotPair{G1: g1, G2: g2}, eng, 2), PairedIncremental)

@@ -12,7 +12,7 @@ import (
 // fuzzEngines are the kernels FuzzPairedRows picks from; index len() means a
 // unit-weight Dijkstra pair.
 var fuzzEngines = []sssp.Engine{sssp.Auto, sssp.TopDown, sssp.DirectionOpt,
-	sssp.BitParallel64, sssp.BitParallel256, sssp.BitParallel512}
+	sssp.BitParallel64}
 
 // FuzzPairedRows checks the paired row producer row by row against fresh
 // BFS rows, on a random small growing snapshot pair, for every engine, mode,

@@ -371,10 +371,10 @@ func TestDeltaSince(t *testing.T) {
 }
 
 // TestApplyAllOnWideKernelRows pins the repair wave against t1 rows produced
-// by the wide MS-BFS kernels: the incremental paired sweep hands ApplyAll
-// copies of rows that are views into a Scratch's shared 256/512-lane backing
-// block, and the repair must still be bit-identical to a fresh BFS on g2 for
-// every lane.
+// by the 64-lane MS-BFS kernel: the incremental paired sweep hands ApplyAll
+// copies of rows that are views into a Scratch's shared lane backing block,
+// and the repair must still be bit-identical to a fresh BFS on g2 for every
+// lane, across a batch boundary and with par > 1 requested.
 func TestApplyAllOnWideKernelRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	g1, g2 := randomEvolvingPair(rng)
@@ -387,7 +387,7 @@ func TestApplyAllOnWideKernelRows(t *testing.T) {
 	sources = append(sources, sources[0], sources[1]) // duplicate lanes
 	s := NewScratch()
 	d2 := make([]int32, n)
-	for _, eng := range []sssp.Engine{sssp.BitParallel256, sssp.BitParallel512} {
+	for _, eng := range []sssp.Engine{sssp.BitParallel64} {
 		sssp.Sweep(context.Background(), g1, sources, 1, eng, 2, func(src int, d1 []int32) {
 			copy(d2, d1)
 			s.ApplyAll(g2, delta, d2)

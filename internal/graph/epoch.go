@@ -294,7 +294,7 @@ func (in *Ingester) Store() *Store { return in.store }
 
 // Ingest records one edge insertion. It returns true when the edge was new,
 // false when it was a duplicate or a self-loop (both are skipped silently).
-// Negative node IDs are rejected.
+// Negative node IDs and IDs too large for the int32 adjacency are rejected.
 func (in *Ingester) Ingest(te TimedEdge) (bool, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -320,7 +320,7 @@ func (in *Ingester) IngestBatch(edges []TimedEdge) (added int, err error) {
 }
 
 func (in *Ingester) ingestLocked(te TimedEdge) (bool, error) {
-	if te.U < 0 || te.V < 0 {
+	if !validEdgeIDs(te.U, te.V) {
 		return false, fmt.Errorf("%w: (%d, %d)", ErrNodeRange, te.U, te.V)
 	}
 	if te.U == te.V {

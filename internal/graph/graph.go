@@ -13,6 +13,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -41,8 +42,16 @@ type Graph struct {
 	numEdges  int
 }
 
-// ErrNodeRange reports a node identifier outside [0, NumNodes).
+// ErrNodeRange reports a node identifier outside [0, NumNodes), or one the
+// int32 CSR adjacency cannot hold.
 var ErrNodeRange = errors.New("graph: node out of range")
+
+// validEdgeIDs reports whether both endpoints fit the int32 adjacency:
+// IDs must lie in [0, math.MaxInt32). Negative IDs wrap to huge unsigned
+// values, so one comparison per endpoint covers both bounds.
+func validEdgeIDs(u, v int) bool {
+	return uint(u) < math.MaxInt32 && uint(v) < math.MaxInt32
+}
 
 // NumNodes returns the size of the node universe, including isolated nodes.
 func (g *Graph) NumNodes() int {
@@ -193,9 +202,10 @@ func NewBuilder(n int) *Builder {
 }
 
 // AddEdge records the undirected edge {u, v}. Self-loops and duplicates are
-// ignored. Negative node IDs cause an error.
+// ignored. Negative node IDs, and IDs the int32 adjacency cannot hold
+// (>= math.MaxInt32), cause ErrNodeRange.
 func (b *Builder) AddEdge(u, v int) error {
-	if u < 0 || v < 0 {
+	if !validEdgeIDs(u, v) {
 		return fmt.Errorf("%w: (%d, %d)", ErrNodeRange, u, v)
 	}
 	if u == v {
@@ -247,8 +257,8 @@ func (b *Builder) Build() *Graph {
 func FromEdges(n int, edges []Edge) *Graph {
 	b := &Builder{n: n, edges: make(map[Edge]struct{}, len(edges))}
 	for _, e := range edges {
-		// AddEdge only fails on negative IDs; FromEdges treats that as a
-		// programming error in the caller.
+		// AddEdge only fails on out-of-range IDs; FromEdges treats that as
+		// a programming error in the caller.
 		if err := b.AddEdge(e.U, e.V); err != nil {
 			panic(err)
 		}

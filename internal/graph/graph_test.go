@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -84,10 +86,28 @@ func TestBuilderGrowsUniverse(t *testing.T) {
 	}
 }
 
+// TestBuilderNegativeNode pins that negative IDs, and IDs the int32
+// adjacency cannot hold, are refused rather than truncated, and leave the
+// edge set and the ingester's state alone.
 func TestBuilderNegativeNode(t *testing.T) {
 	b := NewBuilder(2)
-	if err := b.AddEdge(-1, 0); err == nil {
-		t.Fatal("expected error for negative node id")
+	for _, id := range []int{-1, math.MaxInt32, 1 << 31, 1<<31 + 5} {
+		if err := b.AddEdge(0, id); !errors.Is(err, ErrNodeRange) {
+			t.Fatalf("AddEdge(0, %d) = %v, want ErrNodeRange", id, err)
+		}
+	}
+	if err := b.AddEdge(0, math.MaxInt32-1); err != nil {
+		t.Fatalf("AddEdge(0, MaxInt32-1) = %v, want nil", err)
+	}
+	if b.NumEdges() != 1 {
+		t.Fatalf("NumEdges = %d, want 1", b.NumEdges())
+	}
+	in := NewIngester(IngesterOptions{})
+	if _, err := in.Ingest(TimedEdge{U: 1 << 31, V: 0}); !errors.Is(err, ErrNodeRange) {
+		t.Fatalf("Ingest(2^31, 0) = %v, want ErrNodeRange", err)
+	}
+	if in.EdgeCount() != 0 || in.Seal().Graph().NumNodes() != 0 {
+		t.Fatal("refused edge reached the ingester's state")
 	}
 }
 

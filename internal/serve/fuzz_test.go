@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -96,4 +98,85 @@ func TestOversizedBodyRefused(t *testing.T) {
 	if reports := srv.Registry().Reports(); len(reports) != 0 {
 		t.Fatalf("oversized bodies touched tenants: %v", reports)
 	}
+}
+
+// TestIngestRejectsHugeNodeID pins the /ingest node-ID cap: a body naming an
+// ID at or past MaxNodeID is refused with 400 before any of its lines is
+// ingested, so the edge count and the next epoch's node count stay as they
+// were and no seal is sized by the huge ID.
+func TestIngestRejectsHugeNodeID(t *testing.T) {
+	srv := New(Config{Immediate: true})
+	defer srv.Close()
+	h := srv.Handler()
+	if rec := do(h, http.MethodPost, "/ingest", []byte("0 1\n1 2\n")); rec.Code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body)
+	}
+	first := srv.Ingester().Seal()
+	edges := srv.Ingester().EdgeCount()
+	for _, body := range []string{
+		"2 3\n0 16777216\n",
+		"0 1000000000\n",
+		"2 3 7\n4294967296 1 8\n",
+		"3 -1\n",
+	} {
+		rec := do(h, http.MethodPost, "/ingest", []byte(body))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("body %q: status %d, want 400: %s", body, rec.Code, rec.Body)
+		}
+		if got := srv.Ingester().EdgeCount(); got != edges {
+			t.Fatalf("body %q: edge count %d after a refused ingest, want %d", body, got, edges)
+		}
+	}
+	next := srv.Ingester().Seal()
+	if next.Graph().NumNodes() != first.Graph().NumNodes() || next.EdgeCount != first.EdgeCount {
+		t.Fatalf("next epoch has %d nodes, %d edges; want %d, %d",
+			next.Graph().NumNodes(), next.EdgeCount, first.Graph().NumNodes(), first.EdgeCount)
+	}
+	if rec := do(h, http.MethodPost, "/ingest", []byte(fmt.Sprintf("0 %d\n", MaxNodeID-1))); rec.Code != http.StatusOK {
+		t.Fatalf("largest allowed ID: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// FuzzIngestBody posts arbitrary bytes to /ingest on a fresh server, then
+// seals. Whatever the body, the server must not panic or answer 5xx, a
+// refused body must ingest nothing, and the sealed epoch must never span
+// more than MaxNodeID nodes.
+func FuzzIngestBody(f *testing.F) {
+	for _, seed := range []string{
+		"0 1 0\n1 2 1\n2 0 2\n",
+		"# comment\n\n3 4\n4 5 9\n",
+		"1 1\n1 2\n1 2\n",
+		"0 16777215\n",
+		"0 16777216\n",
+		"-1 2\n",
+		"0 1 2 3\n",
+		"a b\n",
+		"9223372036854775807 0\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		srv := New(Config{Immediate: true, Retain: 1})
+		defer srv.Close()
+		h := srv.Handler()
+		rec := do(h, http.MethodPost, "/ingest", body)
+		if rec.Code >= 500 {
+			t.Fatalf("ingest status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		if rec.Code != http.StatusOK && srv.Ingester().EdgeCount() != 0 {
+			t.Fatalf("refused body %q (status %d) ingested %d edges", body, rec.Code, srv.Ingester().EdgeCount())
+		}
+		rec = do(h, http.MethodPost, "/seal", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("seal status %d after body %q: %s", rec.Code, body, rec.Body)
+		}
+		var ep EpochInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &ep); err != nil {
+			t.Fatal(err)
+		}
+		if ep.Nodes > MaxNodeID {
+			t.Fatalf("body %q sealed an epoch of %d nodes, cap %d", body, ep.Nodes, MaxNodeID)
+		}
+	})
 }

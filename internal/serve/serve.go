@@ -51,7 +51,8 @@ type Config struct {
 	Retain int
 	// Engine pins the BFS kernel for query sessions (Auto picks per call).
 	Engine sssp.Engine
-	// Parallelism bounds intra-traversal parallelism (0 = process default).
+	// Parallelism bounds intra-traversal parallelism of scalar traversals
+	// (<= 1 = serial).
 	Parallelism int
 	// Workers bounds across-source sweep parallelism (0 = GOMAXPROCS).
 	Workers int
@@ -246,7 +247,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, IngestResponse{Accepted: len(edges), Added: added, Edges: s.ing.EdgeCount()})
 }
 
-// parseEdgeStream reads "u v [t]" lines ('#' comments and blanks skipped).
+// MaxNodeID bounds the node IDs /ingest accepts: every ID must lie in
+// [0, MaxNodeID). Each seal sizes its CSR arrays by the largest ID ever
+// ingested, so without a cap one line naming node 10^9 would make every
+// later /seal allocate gigabytes. A body naming an ID outside the range is
+// refused with 400 before any of its lines is ingested.
+const MaxNodeID = 1 << 24
+
+// parseEdgeStream reads "u v [t]" lines ('#' comments and blanks skipped)
+// and refuses any node ID outside [0, MaxNodeID).
 func parseEdgeStream(r io.Reader) ([]graph.TimedEdge, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -271,6 +280,9 @@ func parseEdgeStream(r io.Reader) ([]graph.TimedEdge, error) {
 		}
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("serve: line %d: malformed edge %q", lineNo, line)
+		}
+		if u < 0 || v < 0 || u >= MaxNodeID || v >= MaxNodeID {
+			return nil, fmt.Errorf("serve: line %d: node ID outside [0, %d) in %q", lineNo, MaxNodeID, line)
 		}
 		edges = append(edges, graph.TimedEdge{U: u, V: v, Time: t})
 	}

@@ -9,7 +9,7 @@
 //
 // Interchangeable BFS kernels back the unweighted entry points (see
 // Engine): the scalar TopDown baseline, a Beamer-style DirectionOpt hybrid,
-// and the BitParallel64/256/512 multi-source batch engines used by Sweep and
+// and the 64-lane BitParallel64 multi-source batch engine used by Sweep and
 // PairedSweep. All of them produce bit-identical distances.
 package sssp
 
@@ -34,8 +34,8 @@ func BFS(g *graph.Graph, src int, dist []int32) (reached int, ecc int32) {
 
 // BFSWith is BFS with an explicit engine, intra-traversal parallelism and
 // scratch space. par is the number of cores this one traversal may split
-// its frontiers across (0 = the process default, see SetDefaultParallelism;
-// <= 1 = serial). Every (engine, parallelism) combination produces
+// its frontiers across (<= 1 = serial; the bit-parallel engine always runs
+// serially). Every (engine, parallelism) combination produces
 // bit-identical results; parallelism changes only wall-clock, never
 // distances, budget, or traversal-work metrics. A nil scratch borrows one
 // from an internal pool; parallel drivers pass one per worker so the whole
@@ -66,13 +66,13 @@ func BFSWith(g *graph.Graph, src int, dist []int32, e Engine, par int, s *Scratc
 			return parBFS(g, src, dist, k, true, s)
 		}
 		return dirOptBFS(g, src, dist, s)
-	case BitParallel64, BitParallel256, BitParallel512:
+	case BitParallel64:
 		// One-lane batch: correct but without batching leverage; selectable
 		// for differential testing and ablations. The scratch-owned one-lane
 		// views keep this path allocation-free like the other engines.
 		s.oneSrc[0] = src
 		s.oneRow[0] = dist
-		batchBFS(g, s.oneSrc[:], s.oneRow[:], eng, k, s)
+		msBFSBatch(g, s.oneSrc[:], s.oneRow[:], s)
 		s.oneRow[0] = nil
 		for _, d := range dist {
 			if d >= 0 {

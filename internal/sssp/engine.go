@@ -36,16 +36,9 @@ const (
 	// per-node visit sets as machine words (an MS-BFS). Only the
 	// multi-source sweeps exploit the batching; for a single source it
 	// degenerates to a one-bit sweep and is selectable mainly for testing.
+	// Its batches always run serially: a sweep's parallelism comes from
+	// its workers, never from par.
 	BitParallel64
-	// BitParallel256 is the 4-word MS-BFS: 256 sources per batch, four visit
-	// words per node. Batch setup (row init, visit-word clearing) amortizes
-	// over 4x more sources than BitParallel64 at the cost of touching four
-	// words per edge examination.
-	BitParallel256
-	// BitParallel512 is the 8-word MS-BFS: 512 sources per batch. The widest
-	// kernel; worthwhile on sweeps with thousands of sources where setup and
-	// per-edge revisits dominate.
-	BitParallel512
 )
 
 // engineNames is the single source of truth binding engines to their
@@ -60,8 +53,6 @@ var engineNames = []struct {
 	{TopDown, "topdown"},
 	{DirectionOpt, "diropt"},
 	{BitParallel64, "bitparallel64"},
-	{BitParallel256, "bitparallel256"},
-	{BitParallel512, "bitparallel512"},
 }
 
 // engineAliases maps additional accepted spellings to engines.
@@ -109,20 +100,11 @@ func ParseEngine(s string) (Engine, error) {
 // Lanes returns the engine's multi-source batch width: how many sources one
 // kernel invocation traverses together. Scalar kernels (and Auto) report 0.
 func (e Engine) Lanes() int {
-	switch e {
-	case BitParallel64:
-		return 64
-	case BitParallel256:
-		return 256
-	case BitParallel512:
-		return 512
+	if e == BitParallel64 {
+		return msBatchBits
 	}
 	return 0
 }
-
-// wideWords returns the number of visit words per node for a bit-parallel
-// engine (1 for BitParallel64), or 0 for scalar engines.
-func (e Engine) wideWords() int { return e.Lanes() / 64 }
 
 // defaultEngine is the process-wide engine that Auto resolves to; Auto
 // itself means "use the built-in heuristics".
@@ -137,33 +119,14 @@ func SetDefaultEngine(e Engine) { defaultEngine.Store(int32(e)) }
 // none is installed).
 func DefaultEngine() Engine { return Engine(defaultEngine.Load()) }
 
-// defaultParallelism is the process-wide intra-traversal core count used by
-// entry points called without an explicit parallelism (0 or 1 = serial).
-var defaultParallelism atomic.Int32
-
-// SetDefaultParallelism installs the process-wide intra-traversal
-// parallelism: the number of cores one BFS call may split its frontiers
-// across when the caller does not pass an explicit value (convpairs -par
-// sets it once at startup). Values <= 1 mean serial traversal, the default.
-// Multi-source drivers are unaffected: they split their worker budget
-// between across-source and intra-traversal parallelism themselves.
-func SetDefaultParallelism(p int) { defaultParallelism.Store(int32(p)) }
-
-// DefaultParallelism returns the process-wide intra-traversal parallelism
-// (0 when unset, meaning serial).
-func DefaultParallelism() int { return int(defaultParallelism.Load()) }
-
 // maxTraversalWorkers caps intra-traversal parallelism (and the shared
 // traversal worker pool); far above any realistic core count.
 const maxTraversalWorkers = 64
 
-// resolvePar maps a parallelism request to the worker count a kernel runs
-// with: 0 falls back to the process default, and everything is clamped to
-// [1, maxTraversalWorkers].
+// resolvePar maps a parallelism request to the worker count a scalar
+// traversal runs with, clamped to [1, maxTraversalWorkers]: 0 and negative
+// values mean serial.
 func resolvePar(par int) int {
-	if par == 0 {
-		par = DefaultParallelism()
-	}
 	if par < 1 {
 		return 1
 	}
@@ -193,9 +156,8 @@ func resolveSingle(e Engine) Engine {
 }
 
 // resolveBatch maps an engine request to the kernel used by a multi-source
-// sweep over nsources sources. Auto stays on the 64-lane batch kernel: the
-// wide kernels are explicit opt-ins because their per-worker row blocks are
-// Lanes()*n ints (see Sweep for the core split that keeps that affordable).
+// sweep over nsources sources: Auto batches large source sets through the
+// 64-lane kernel and runs small ones as scalar traversals.
 func resolveBatch(e Engine, nsources int) Engine {
 	if e == Auto {
 		e = DefaultEngine()
@@ -228,10 +190,9 @@ func ClampWorkers(workers, jobs int) int {
 
 // Scratch holds every buffer a BFS kernel needs beyond the caller's dist
 // slice: the index-cursor frontier queue, the bottom-up frontier bitmaps,
-// the bit-parallel visit words (one per node for the 64-lane kernel, W per
-// node for the wide kernels), and the parallel kernels' shared visited
-// bitmap plus per-worker state. A Scratch grows to the largest graph (and
-// widest kernel, and highest parallelism) it has served and is then
+// the bit-parallel visit words (one per node), and the parallel kernels'
+// shared visited bitmap plus per-worker state. A Scratch grows to the
+// largest graph (and highest parallelism) it has served and is then
 // allocation-free; it is not safe for concurrent use by multiple callers —
 // the parallel kernels hand disjoint pieces of it to the traversal worker
 // pool internally. Parallel drivers keep one Scratch per worker;
@@ -246,15 +207,6 @@ type Scratch struct {
 	front []uint64
 	next  []uint64
 	nextQ []int32
-
-	// Wide MS-BFS state: W words per node, flattened node-major
-	// (node v's words at [v*W, (v+1)*W)).
-	wseen  []uint64
-	wfront []uint64
-	wnext  []uint64
-	// nextMark is the wide kernels' next-queue dedup bitmap, one bit per
-	// node; kernels leave it all-zero.
-	nextMark []uint64
 
 	// vis is the parallel scalar kernels' shared visited bitmap (claimed
 	// with CAS during parallel top-down levels).
@@ -310,32 +262,6 @@ func (s *Scratch) ensureMS(n int) {
 		// front/next are left all-zero by msBFSBatch; only seen needs
 		// clearing.
 		clearWords(s.seen[:n])
-	}
-	if cap(s.nextQ) < n {
-		s.nextQ = make([]int32, 0, n)
-	}
-}
-
-// ensureWide grows the wide MS-BFS buffers for an n-node graph and W visit
-// words per node, zeroing the seen words. front/next are left all-zero by
-// the kernel (like their one-word siblings), and so is nextMark.
-//
-//convlint:shared setup runs before any worker is dispatched; the wide words are CAS-accessed only during a scan phase
-func (s *Scratch) ensureWide(n, W int) {
-	s.ensure(n)
-	need := n * W
-	if cap(s.wseen) < need {
-		s.wseen = make([]uint64, need)
-		s.wfront = make([]uint64, need)
-		s.wnext = make([]uint64, need)
-	}
-	s.wseen = s.wseen[:cap(s.wseen)]
-	s.wfront = s.wfront[:cap(s.wfront)]
-	s.wnext = s.wnext[:cap(s.wnext)]
-	clearWords(s.wseen[:need])
-	words := (n + 63) / 64
-	if len(s.nextMark) < words {
-		s.nextMark = make([]uint64, words)
 	}
 	if cap(s.nextQ) < n {
 		s.nextQ = make([]int32, 0, n)

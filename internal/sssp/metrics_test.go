@@ -134,15 +134,21 @@ func TestMetricsExposedThroughObs(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"sssp.topdown.calls", "sssp.diropt.switches", "sssp.bitparallel64.sources",
-		"sssp.bitparallel256.edges_scanned", "sssp.dijkstra.calls",
+		"sssp.bitparallel64.edges_scanned", "sssp.dijkstra.calls",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("obs exposition missing %q", want)
 		}
 	}
-	// The lower-envelope kernel and its metric family are gone.
-	if strings.Contains(out, "sssp.envelope.") {
-		t.Error("obs exposition still carries the removed sssp.envelope.* family")
+	// The lower-envelope and 256/512-lane kernels, their metric families,
+	// their histogram series and the lane-width gauge are gone.
+	for _, gone := range []string{
+		"sssp.envelope.", "sssp.bitparallel256.", "sssp.bitparallel512.",
+		`kernel="bitparallel256"`, `kernel="bitparallel512"`, "lane_width",
+	} {
+		if strings.Contains(out, gone) {
+			t.Errorf("obs exposition still carries the removed %q", gone)
+		}
 	}
 }
 

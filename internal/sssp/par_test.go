@@ -82,9 +82,9 @@ func TestParallelEnginesDifferential(t *testing.T) {
 	}
 }
 
-// TestWideDriversDifferential pins the wide MS-BFS kernels (serial and
-// parallel) bit-identical to the oracle through the multi-source drivers,
-// with a source set spanning several 256/512-lane batch boundaries and
+// TestWideDriversDifferential pins every engine bit-identical to the oracle
+// through the multi-source driver at workers=2, serial and with par > 1
+// requested, with a source set spanning several 64-lane batch boundaries and
 // containing duplicates.
 func TestWideDriversDifferential(t *testing.T) {
 	g := bigParGraph(t, 3000, 31)
@@ -101,7 +101,7 @@ func TestWideDriversDifferential(t *testing.T) {
 	for _, src := range sources {
 		oracle.row(src)
 	}
-	for _, e := range []Engine{BitParallel64, BitParallel256, BitParallel512} {
+	for _, e := range []Engine{TopDown, DirectionOpt, BitParallel64} {
 		for _, par := range []int{1, 4} {
 			var calls atomic.Int64
 			var failed atomic.Bool
@@ -126,17 +126,17 @@ func TestWideDriversDifferential(t *testing.T) {
 }
 
 // TestSweepWorkersLabelKernel checks that sweep workers carry the resolved
-// engine's name as their pprof kernel label, so a profile of a wide sweep
-// attributes its time to the wide kernel.
+// engine's name as their pprof kernel label, so a profile of a scalar sweep
+// attributes its time to the scalar kernel rather than the batch kernel.
 func TestSweepWorkersLabelKernel(t *testing.T) {
 	g := bigParGraph(t, 600, 71)
-	sources := make([]int, 512) // two 256-lane batches, one per worker
+	sources := make([]int, 16) // one-source batches shared by two workers
 	for i := range sources {
 		sources[i] = i % g.NumNodes()
 	}
 	var once sync.Once
 	var profile bytes.Buffer
-	err := Sweep(context.Background(), g, sources, 2, BitParallel256, 1, func(int, []int32) {
+	err := Sweep(context.Background(), g, sources, 2, DirectionOpt, 1, func(int, []int32) {
 		once.Do(func() {
 			if err := pprof.Lookup("goroutine").WriteTo(&profile, 1); err != nil {
 				t.Error(err)
@@ -146,13 +146,13 @@ func TestSweepWorkersLabelKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(profile.Bytes(), []byte(`"kernel":"bitparallel256"`)) {
-		t.Fatalf("no sweep worker labeled kernel=bitparallel256 in the goroutine profile:\n%s", profile.String())
+	if !bytes.Contains(profile.Bytes(), []byte(`"kernel":"diropt"`)) {
+		t.Fatalf("no sweep worker labeled kernel=diropt in the goroutine profile:\n%s", profile.String())
 	}
 }
 
-// TestPairedWideDriver covers the two-snapshot driver under a wide engine
-// with intra-traversal parallelism.
+// TestPairedWideDriver covers the two-snapshot driver under the bit-parallel
+// engine across several batches, with two workers and par > 1 requested.
 func TestPairedWideDriver(t *testing.T) {
 	g1 := bigParGraph(t, 1500, 41)
 	g2 := bigParGraph(t, 1500, 43)
@@ -169,7 +169,7 @@ func TestPairedWideDriver(t *testing.T) {
 		o2.row(src)
 	}
 	var failed atomic.Bool
-	PairedSweep(context.Background(), g1, g2, sources, 2, BitParallel256, 2, func(src int, d1, d2 []int32) {
+	PairedSweep(context.Background(), g1, g2, sources, 2, BitParallel64, 2, func(src int, d1, d2 []int32) {
 		w1, w2 := o1.rows[src], o2.rows[src]
 		for v := range d1 {
 			if d1[v] != w1[v] || d2[v] != w2[v] {
@@ -179,7 +179,7 @@ func TestPairedWideDriver(t *testing.T) {
 		}
 	})
 	if failed.Load() {
-		t.Fatal("paired wide sweep distances diverge from oracle")
+		t.Fatal("paired bit-parallel sweep distances diverge from oracle")
 	}
 }
 
@@ -187,7 +187,7 @@ func TestPairedWideDriver(t *testing.T) {
 // accepted back by ParseEngine, and that the ParseEngine error enumerates
 // every name (so -engine stays self-documenting as kernels are added).
 func TestEngineNameRoundTrip(t *testing.T) {
-	all := []Engine{Auto, TopDown, DirectionOpt, BitParallel64, BitParallel256, BitParallel512}
+	all := []Engine{Auto, TopDown, DirectionOpt, BitParallel64}
 	if len(all) != len(EngineNames()) {
 		t.Fatalf("EngineNames lists %d engines, test covers %d — keep both in sync", len(EngineNames()), len(all))
 	}
@@ -209,9 +209,21 @@ func TestEngineNameRoundTrip(t *testing.T) {
 			t.Fatalf("ParseEngine error %q does not mention engine %q", err, name)
 		}
 	}
+	// The removed 256/512-lane engines are refused, and the error names the
+	// four survivors.
+	for _, gone := range []string{"bitparallel256", "bitparallel512"} {
+		_, err := ParseEngine(gone)
+		if err == nil {
+			t.Fatalf("ParseEngine(%q): expected error for a removed engine", gone)
+		}
+		for _, name := range []string{"auto", "topdown", "diropt", "bitparallel64"} {
+			if !containsStr(err.Error(), name) {
+				t.Fatalf("ParseEngine(%q) error %q does not mention engine %q", gone, err, name)
+			}
+		}
+	}
 	// Lane widths drive batch sizing; pin them to the names.
-	wantLanes := map[Engine]int{Auto: 0, TopDown: 0, DirectionOpt: 0,
-		BitParallel64: 64, BitParallel256: 256, BitParallel512: 512}
+	wantLanes := map[Engine]int{Auto: 0, TopDown: 0, DirectionOpt: 0, BitParallel64: 64}
 	for e, want := range wantLanes {
 		if e.Lanes() != want {
 			t.Fatalf("%v.Lanes() = %d, want %d", e, e.Lanes(), want)
@@ -263,10 +275,10 @@ func TestEnsureRowsGrowOnly(t *testing.T) {
 		t.Skip("invariant builds allocate in assertions; grow-only holds for default builds")
 	}
 	s := &Scratch{}
-	// Warm with the largest geometry: 512 lanes at the larger n.
-	_ = s.ensureRows(1000, 512)
+	// Warm with the largest geometry: 64 lanes at the larger n.
+	_ = s.ensureRows(1000, 64)
 	sizes := []struct{ n, lanes int }{
-		{1000, 64}, {500, 64}, {1000, 256}, {500, 512}, {1000, 512}, {7, 64},
+		{1000, 1}, {500, 64}, {1000, 64}, {500, 1}, {7, 64}, {1000, 32},
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, sz := range sizes {
@@ -280,7 +292,7 @@ func TestEnsureRowsGrowOnly(t *testing.T) {
 		t.Errorf("%.1f allocs per alternating ensureRows cycle, want 0 (grow-only)", allocs)
 	}
 	// Rows must be disjoint, correctly sized views.
-	rows := s.ensureRows(100, 256)
+	rows := s.ensureRows(100, 64)
 	rows[0][99] = 7
 	rows[1][0] = 9
 	if rows[0][99] != 7 || rows[1][0] != 9 || &rows[0][99] == &rows[1][0] {
@@ -315,31 +327,6 @@ func TestParallelBFSZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestWideBatchZeroAllocs pins the wide MS-BFS kernel (serial and parallel)
-// to zero steady-state allocations with a warmed Scratch.
-func TestWideBatchZeroAllocs(t *testing.T) {
-	if invariant.Enabled {
-		t.Skip("CSR invariant assertions allocate; zero-alloc holds for default builds")
-	}
-	g := bigParGraph(t, 2000, 59)
-	n := g.NumNodes()
-	sources := make([]int, 256)
-	for i := range sources {
-		sources[i] = (i * 7) % n
-	}
-	for _, par := range []int{1, 4} {
-		s := &Scratch{}
-		rows := s.ensureRows(n, 256)
-		msBFSBatchWide(g, sources, rows, 4, par, s) // warm
-		allocs := testing.AllocsPerRun(10, func() {
-			msBFSBatchWide(g, sources, rows, 4, par, s)
-		})
-		if allocs != 0 {
-			t.Errorf("par %d: %.1f allocs per wide batch with warmed Scratch, want 0", par, allocs)
-		}
-	}
-}
-
 // TestCoresUsedMetric asserts a parallel traversal reports cores_used > 1 in
 // the kernel metrics — the property the CI multicore smoke checks end to end.
 func TestCoresUsedMetric(t *testing.T) {
@@ -351,21 +338,49 @@ func TestCoresUsedMetric(t *testing.T) {
 	if after.TopDown.CoresUsed < 2 {
 		t.Fatalf("parallel TopDown reported cores_used = %d, want > 1", after.TopDown.CoresUsed)
 	}
-	// The wide kernels report their lane width and, with par > 1, multicore
-	// levels too.
-	sources := make([]int, 300)
+}
+
+// TestBitParallelSweepIgnoresPar pins that par never reaches the 64-lane
+// kernel: a BitParallel64 sweep with par=4, on a graph whose frontiers are
+// far above the parallel cutoffs, delivers the same rows and does the same
+// per-kernel work as par=1, and every batch runs on one core.
+func TestBitParallelSweepIgnoresPar(t *testing.T) {
+	g := bigParGraph(t, 4000, 67)
+	n := g.NumNodes()
+	sources := make([]int, 130) // three batches, the last one partial
 	for i := range sources {
-		sources[i] = (i * 11) % n
+		sources[i] = (i * 29) % n
 	}
-	Sweep(context.Background(), g, sources, 1, BitParallel256, 4, func(int, []int32) {})
-	snap := SnapshotMetrics()
-	if snap.BitParallel256.LaneWidth != 256 {
-		t.Fatalf("BitParallel256 lane width = %d, want 256", snap.BitParallel256.LaneWidth)
+	sweep := func(par int) (map[int][]int32, MetricsSnapshot) {
+		rows := make(map[int][]int32, len(sources))
+		before := SnapshotMetrics()
+		err := Sweep(context.Background(), g, sources, 1, BitParallel64, par, func(src int, dist []int32) {
+			rows[src] = append([]int32(nil), dist...)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, SnapshotMetrics().Sub(before)
 	}
-	if snap.BitParallel256.CoresUsed < 2 {
-		t.Fatalf("parallel wide sweep reported cores_used = %d, want > 1", snap.BitParallel256.CoresUsed)
+	rows1, work1 := sweep(1)
+	rows4, work4 := sweep(4)
+	for src, want := range rows1 {
+		got := rows4[src]
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("src %d: par=4 dist[%d] = %d, par=1 gave %d", src, v, got[v], want[v])
+			}
+		}
 	}
-	if snap.BitParallel256.Calls == 0 || snap.BitParallel256.Sources < int64(len(sources)) {
-		t.Fatalf("wide sweep misattributed: calls=%d sources=%d", snap.BitParallel256.Calls, snap.BitParallel256.Sources)
+	w1, w4 := work1.BitParallel64, work4.BitParallel64
+	if w1.Calls != w4.Calls || w1.Nodes != w4.Nodes || w1.Edges != w4.Edges {
+		t.Fatalf("bitparallel64 work differs: par=1 calls/nodes/edges %d/%d/%d, par=4 %d/%d/%d",
+			w1.Calls, w1.Nodes, w1.Edges, w4.Calls, w4.Nodes, w4.Edges)
+	}
+	if t1, t4 := work1.Total(), work4.Total(); t1.Calls != t4.Calls || t1.Edges != t4.Edges {
+		t.Fatalf("total work differs: par=1 calls/edges %d/%d, par=4 %d/%d", t1.Calls, t1.Edges, t4.Calls, t4.Edges)
+	}
+	if cores := SnapshotMetrics().BitParallel64.CoresUsed; cores > 1 {
+		t.Fatalf("bitparallel64 cores_used = %d, want <= 1 (batches run serially)", cores)
 	}
 }

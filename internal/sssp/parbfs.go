@@ -40,14 +40,9 @@ const (
 	// parChunkBU is the bottom-up chunk in bitmap words (64 nodes each);
 	// word granularity is what makes worker-owned plain writes safe.
 	parChunkBU = 64
-	// parChunkWide / parChunkWideEmit chunk the wide MS-BFS scan and emit.
-	parChunkWide     = 64
-	parChunkWideEmit = 256
 	// parSerialCutoff: frontiers smaller than this run the serial loop even
 	// when parallelism is available.
 	parSerialCutoff = 256
-	// parSerialCutoffWide: same for the wide kernel's scan/emit phases.
-	parSerialCutoffWide = 128
 )
 
 // parPhase selects what work() does for the current dispatch.
@@ -56,8 +51,6 @@ type parPhase int
 const (
 	parPhaseTopDown parPhase = iota
 	parPhaseBottomUp
-	parPhaseWideScan
-	parPhaseWideEmit
 )
 
 // parWorkerState is one worker's slice of a fork-join level: a private
@@ -69,8 +62,7 @@ type parWorkerState struct {
 	edges   int64
 	mfNext  int64
 	nfNext  int64
-	visits  int64
-	_       [7]int64 // cache-line padding
+	_       [8]int64 // cache-line padding
 }
 
 // parRun is the reusable fork-join state of one traversal, embedded in its
@@ -95,14 +87,6 @@ type parRun struct {
 	n         int
 	curBits   []uint64
 	nxtBits   []uint64
-
-	// Wide MS-BFS phase inputs.
-	W        int
-	wseen    []uint64
-	wfront   []uint64
-	wnext    []uint64
-	nextMark []uint64
-	rows     [][]int32
 
 	workers []parWorkerState
 }
@@ -152,16 +136,11 @@ func (r *parRun) work() {
 	slot := int(r.slots.Add(1)) - 1
 	ws := &r.workers[slot]
 	ws.queue = ws.queue[:0]
-	ws.reached, ws.edges, ws.mfNext, ws.nfNext, ws.visits = 0, 0, 0, 0, 0
-	switch r.phase {
-	case parPhaseTopDown:
+	ws.reached, ws.edges, ws.mfNext, ws.nfNext = 0, 0, 0, 0
+	if r.phase == parPhaseTopDown {
 		r.topDownChunks(ws)
-	case parPhaseBottomUp:
+	} else {
 		r.bottomUpChunks(ws)
-	case parPhaseWideScan:
-		r.wideScanChunks(ws)
-	case parPhaseWideEmit:
-		r.wideEmitChunks(ws)
 	}
 }
 
@@ -218,17 +197,6 @@ func drainParPool() {
 		runtime.Gosched()
 	}
 	parTasks = make(chan *parRun, maxTraversalWorkers)
-}
-
-// orUint64 ORs v into *p with a CAS loop (Go 1.22-compatible stand-in for
-// atomic.OrUint64).
-func orUint64(p *uint64, v uint64) {
-	for {
-		old := atomic.LoadUint64(p)
-		if old|v == old || atomic.CompareAndSwapUint64(p, old, old|v) {
-			return
-		}
-	}
 }
 
 // topDownChunks is one worker's share of a parallel top-down level: claim

@@ -20,15 +20,12 @@ import (
 // materializing an O(n²) distance matrix. Under the Auto engine, large
 // source sets run 64 sources per pass through the bit-parallel kernel.
 //
-// workers and par are orthogonal: workers spreads sources (or batches)
-// across goroutines, par splits each individual traversal's frontiers across
-// the traversal worker pool (0 = the process default), and total concurrency
-// is their product — callers dividing a core budget give the across-source
-// axis priority (it parallelizes perfectly) and spend the remainder on par.
-// For the wide engines note the memory trade: every worker holds Lanes()×n
-// distance rows, so high workers × wide lanes multiplies resident row blocks
-// where workers=1 with par=cores runs one row block and still uses every
-// core.
+// workers spreads sources (or 64-source batches) across goroutines; it is
+// the sweep's only source of parallelism for the bit-parallel kernel. par
+// (<= 1 = serial) splits each scalar TopDown/DirectionOpt traversal's
+// frontiers across the traversal worker pool, so for scalar engines total
+// concurrency is workers × par. Callers dividing a core budget give the
+// across-source axis priority: it parallelizes perfectly.
 //
 // Once ctx is done no further source (or batch) starts traversing and Sweep
 // returns ctx's error; traversals already in flight finish, so fn is never
@@ -114,18 +111,14 @@ func forEachBatch(ctx context.Context, g1, g2 *graph.Graph, sources []int, worke
 }
 
 // batchBFS fills rows[i] with the distances from batch[i] on g under the
-// resolved engine eng: one MS-BFS pass for the bit-parallel engines, one
-// scalar traversal of the single source otherwise. par is the resolved
-// intra-traversal parallelism.
+// resolved engine eng: one serial MS-BFS pass for the bit-parallel engine,
+// one scalar traversal of the single source (split par ways) otherwise.
 //
 //convlint:hotpath
 func batchBFS(g *graph.Graph, batch []int, rows [][]int32, eng Engine, par int, s *Scratch) {
-	switch W := eng.wideWords(); {
-	case W == 0:
+	if eng.Lanes() == 0 {
 		BFSWith(g, batch[0], rows[0], eng, par, s)
-	case W == 1 && par <= 1:
-		msBFSBatch(g, batch, rows, s)
-	default:
-		msBFSBatchWide(g, batch, rows, W, par, s)
+		return
 	}
+	msBFSBatch(g, batch, rows, s)
 }
